@@ -56,6 +56,7 @@ type t = {
   m_restores : Obs.counter;
   m_rebuild_time : Obs.timer;
   m_restore_time : Obs.timer;
+  m_prime_time : Obs.timer;
   m_reuse_depth : Obs.gauge;
       (* inputs served by the current pooled boot state *)
 }
@@ -97,6 +98,7 @@ let create ?(boot_insts = Simulator.default_boot_insts) ?(format = Utrace.L1d_tl
     m_restores = Obs.counter metrics "engine.sim.restores";
     m_rebuild_time = Obs.timer metrics "engine.time.rebuild";
     m_restore_time = Obs.timer metrics "engine.time.restore";
+    m_prime_time = Obs.timer metrics "engine.time.prime";
     m_reuse_depth = Obs.gauge metrics "engine.pool.reuse_depth";
   }
 
@@ -192,9 +194,10 @@ let extract_trace t sim =
 
 let prime t sim =
   Stats.time t.stats Stats.Sim_simulate (fun () ->
-      match t.defense.Defense.priming with
-      | Defense.Fill_sets -> ignore (Simulator.prime_with_fills sim)
-      | Defense.Flush -> Simulator.prime_with_flush sim)
+      Obs.time t.m_prime_time (fun () ->
+          match t.defense.Defense.priming with
+          | Defense.Fill_sets -> ignore (Simulator.prime_with_fills sim)
+          | Defense.Flush -> Simulator.prime_with_flush sim))
 
 (* The chaos hook (robustness self-tests): one draw per test case may raise
    an injected crash or substitute an injected fault for the real outcome. *)

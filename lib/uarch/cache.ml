@@ -194,6 +194,20 @@ let reset t =
 
 let occupancy t = List.length (tags t)
 
+(** Digest of the full replacement state: every valid way's index, tag and
+    LRU stamp, plus the LRU clock.  Equal digests mean the two states answer
+    every future lookup, install and eviction identically. *)
+let digest t =
+  let b = Buffer.create (16 * (t.n_valid + 1)) in
+  Array.iteri
+    (fun i valid ->
+      if valid then
+        Buffer.add_string b
+          (Printf.sprintf "%d:%x:%d;" i t.tags_a.(i) t.lru_a.(i)))
+    t.valid_a;
+  Buffer.add_string b (string_of_int t.tick);
+  Digest.string (Buffer.contents b)
+
 (* ------------------------------------------------------------------ *)
 (* Snapshots (validation reruns restore the exact cache context)       *)
 (* ------------------------------------------------------------------ *)

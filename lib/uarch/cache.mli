@@ -48,6 +48,10 @@ val tags : t -> int list
 val reset : t -> unit
 val occupancy : t -> int
 
+val digest : t -> Digest.t
+(** Digest of the tags, LRU stamps and LRU clock: equal digests mean
+    identical replacement state (differential tests). *)
+
 type snapshot
 
 val snapshot : t -> snapshot

@@ -620,6 +620,27 @@ let flush_caches t =
 let reset_tlb t = Tlb.reset t.tlb
 let reset_l1i t = Cache.reset t.l1i
 
+(** Apply the cache effects of a chain of dependent, non-speculative demand
+    loads, one per line in order, without simulating them.  Each load reaches
+    the controller only after the previous one has filled, so every line
+    goes through exactly the sequence a lone [Demand_load] does: an L1D
+    lookup and, on a miss, an L2 lookup (MSHR allocation) followed by the
+    L1D and L2 installs (MSHR completion).  No MSHR or event-log traffic is
+    produced; the caller must ensure no prefetcher would have run. *)
+let prime_lines t lines =
+  Array.iter
+    (fun line ->
+      if not (Cache.touch t.l1d line) then begin
+        ignore (Cache.touch t.l2 line);
+        ignore (Cache.install t.l1d line);
+        ignore (Cache.install t.l2 line)
+      end)
+    lines
+
+(** Digest of the L1D and L2 tag and replacement state (see
+    {!Cache.digest}). *)
+let cache_digest t = Digest.string (Cache.digest t.l1d ^ Cache.digest t.l2)
+
 (** Number of in-flight + queued requests (used to decide when the system
     has drained). *)
 let inflight t =

@@ -75,6 +75,17 @@ val flush_caches : t -> unit
 val reset_tlb : t -> unit
 val reset_l1i : t -> unit
 
+val prime_lines : t -> int array -> unit
+(** Apply, without simulating them, the L1D/L2 effects of a chain of
+    dependent non-speculative loads to the given lines in order: per line an
+    L1D lookup, then on a miss an L2 lookup and the L1D and L2 installs.
+    Exact only when the chain would issue one load at a time with no
+    prefetcher.  Counts cache hits, misses and evictions, but records no
+    MSHR allocations or debug events. *)
+
+val cache_digest : t -> Digest.t
+(** Digest of the L1D and L2 tags, LRU stamps and LRU clocks. *)
+
 val inflight : t -> int
 (** In-flight + queued requests (drain detection). *)
 

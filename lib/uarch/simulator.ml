@@ -30,7 +30,8 @@ type t = {
       (** last decoded test program, keyed by physical equality of the flat;
           one slot suffices because executors run all inputs of a program
           back to back (the prime program has its own slot below) *)
-  mutable prime_flat : Program.flat option;
+  prime_lines : int array;
+      (** the fill program's load addresses, in program order *)
   mutable prime_dec : Decoded.t option;
   mutable decodes : int;  (** programs decoded over this simulator's life *)
   m_decodes : Amulet_obs.Obs.counter;
@@ -81,6 +82,35 @@ let boot_program ~insts =
   Program.flatten (Program.make [ { Program.label = "boot"; body = !body } ])
 
 let default_boot_insts = 20_000
+
+(* ------------------------------------------------------------------ *)
+(* The priming region                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(** Base address of the priming region: disjoint from the sandbox but
+    mapping onto the same L1 sets. *)
+let prime_base = 0x10_0000
+
+(* One line per (way, set), way-major: [ways]-per-set addresses from outside
+   the sandbox that together fill every L1D set. *)
+let prime_addrs (cfg : Config.t) =
+  Array.init (cfg.l1d_ways * cfg.l1d_sets) (fun i ->
+      let way = i / cfg.l1d_sets and set = i mod cfg.l1d_sets in
+      prime_base + (way * 0x1000) + (set * cfg.line_bytes))
+
+(** A program of plain loads that fills every L1D set (paper §3.2, C2:
+    starting from fully-occupied sets makes both installs and evictions
+    visible).  Each load is [mov r15, [r15+addr]]: out-of-sandbox reads
+    return 0, so R15 stays 0 and every load depends on the one before. *)
+let prime_program (cfg : Config.t) =
+  let body =
+    Array.to_list
+      (Array.map
+         (fun addr ->
+           Inst.Mov (Width.W64, Operand.Reg Reg.R15, Operand.mem ~disp:addr Reg.R15))
+         (prime_addrs cfg))
+  in
+  Program.flatten (Program.make [ { Program.label = "prime"; body } ])
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -164,6 +194,14 @@ let run_flat t flat : run_stats =
     input; AMuLeT-Opt once per test program). *)
 let create ?(metrics = Amulet_obs.Obs.noop) ?(boot_insts = default_boot_insts)
     ?(pages = 1) (cfg : Config.t) =
+  let arch = State.create ~pages () in
+  (* the fill loads must read zeros: a sandbox reaching the priming region
+     would feed input bytes into their address chain *)
+  if Memory.limit arch.State.mem > prime_base then
+    invalid_arg
+      (Printf.sprintf
+         "Simulator.create: a %d-page sandbox reaches the priming region at 0x%x"
+         pages prime_base);
   let log = Event.create () in
   let t =
     {
@@ -176,13 +214,13 @@ let create ?(metrics = Amulet_obs.Obs.noop) ?(boot_insts = default_boot_insts)
         Branch_pred.create ~metrics ~history_bits:cfg.bp_history_bits
           ~table_bits:cfg.bp_table_bits ~btb_bits:cfg.btb_bits ();
       mdp = Mdp.create ~bits:cfg.mdp_bits;
-      arch = State.create ~pages ();
+      arch;
       total_cycles = 0;
       total_insts = 0;
       runs = 0;
       pipe = None;
       dec_cache = None;
-      prime_flat = None;
+      prime_lines = prime_addrs cfg;
       prime_dec = None;
       decodes = 0;
       m_decodes = Amulet_obs.Obs.counter metrics "engine.sim.decodes";
@@ -233,48 +271,23 @@ let run t (flat : Program.flat) : run_stats = run_flat t flat
 (* Cache priming                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(** Base address of the priming region: disjoint from the sandbox but
-    mapping onto the same L1 sets. *)
-let prime_base = 0x10_0000
-
-(** A program of plain loads that fills every L1D set with
-    [ways]-per-set addresses from outside the sandbox (paper §3.2, C2:
-    starting from fully-occupied sets makes both installs and evictions
-    visible).  It costs [sets * ways] instructions, which is exactly the
-    Opt executor's per-input simulation overhead the paper describes. *)
-let prime_program (cfg : Config.t) =
-  let body = ref [] in
-  for way = cfg.l1d_ways - 1 downto 0 do
-    for set = cfg.l1d_sets - 1 downto 0 do
-      let addr = prime_base + (way * 0x1000) + (set * cfg.line_bytes) in
-      body :=
-        Inst.Mov
-          (Width.W64, Operand.Reg Reg.R15, Operand.mem ~disp:addr Reg.R15)
-        :: !body
-    done
-  done;
-  Program.flatten (Program.make [ { Program.label = "prime"; body = !body } ])
-
-(** Prime the L1D by running the fill program through the pipeline (the
-    realistic path: it costs simulated instructions).  R15 is zeroed for
-    absolute addressing and the TLB/L1I are reset afterwards via simulator
-    hooks, as the real harness does. *)
 (* The prime program is a pure function of the config: build and decode it
    once per simulator.  It keeps its own cache slot so that alternating
-   prime/test runs (the Opt executor primes before every input) don't thrash
-   the single-entry test-program slot. *)
+   prime/test runs (a simulated prime before every input) don't thrash the
+   single-entry test-program slot. *)
 let prime_decoded t =
   match t.prime_dec with
   | Some d -> d
   | None ->
-      let flat = prime_program t.cfg in
-      let d = Decoded.decode flat in
-      t.prime_flat <- Some flat;
+      let d = Decoded.decode (prime_program t.cfg) in
       t.prime_dec <- Some d;
       note_decode t;
       d
 
-let prime_with_fills t =
+(** Prime the L1D by running the fill program through the pipeline.  R15 is
+    zeroed for absolute addressing and the TLB/L1I are reset afterwards via
+    simulator hooks, as the real harness does. *)
+let simulate_fill_program t =
   let saved_r15 = State.read_reg t.arch Reg.R15 in
   State.write_reg t.arch Reg.R15 0L;
   let stats =
@@ -287,6 +300,35 @@ let prime_with_fills t =
   Memsys.reset_tlb t.ms;
   Memsys.reset_l1i t.ms;
   stats
+
+let no_work =
+  {
+    cycles = 0;
+    committed_insts = 0;
+    squashes = 0;
+    squashed_insts = 0;
+    spec_issued = 0;
+    mispredicts = 0;
+    fault = None;
+  }
+
+(** Prime the L1D with the fill program's cache effects.  The fill program
+    has no branches and no stores, so none of its loads is speculative and
+    the predictors never train; its R15 chain makes the loads reach the
+    memory system one at a time, in program order.  Replaying that order
+    with {!Memsys.prime_lines} is therefore exact, and the L2 — never reset
+    between inputs — evolves as it would under simulation.  A next-line
+    prefetcher makes install order depend on MSHR timing, and the legacy hot
+    loop is the frozen baseline, so both still simulate. *)
+let prime_with_fills t =
+  if t.cfg.Config.legacy_hot_loop || t.cfg.Config.nl_prefetcher then
+    simulate_fill_program t
+  else begin
+    Memsys.prime_lines t.ms t.prime_lines;
+    Memsys.reset_tlb t.ms;
+    Memsys.reset_l1i t.ms;
+    no_work
+  end
 
 (** Prime by direct invalidation (the simulator hook used for CleanupSpec
     and SpecLFB in §3.5): clean caches, no simulated instructions. *)
@@ -303,6 +345,7 @@ let tlb_pages t = Memsys.tlb_pages t.ms
 let bp_state t =
   Array.append (Branch_pred.state_words t.bp) (Mdp.state_words t.mdp)
 
+let cache_digest t = Memsys.cache_digest t.ms
 let access_order t = Memsys.access_order t.ms
 let clear_access_order t = Memsys.clear_access_order t.ms
 

@@ -31,7 +31,8 @@ val default_boot_insts : int
 
 val create :
   ?metrics:Amulet_obs.Obs.t -> ?boot_insts:int -> ?pages:int -> Config.t -> t
-(** Create a simulator.  [boot_insts > 0] runs the synthetic warm-boot
+(** Create a simulator.  Raises [Invalid_argument] when a [pages]-page
+    sandbox would reach {!prime_base} (more than 255 pages).  [boot_insts > 0] runs the synthetic warm-boot
     workload, making creation cost realistic (AMuLeT-Naive pays it per
     input; AMuLeT-Opt once per test program; the pooled engine once per
     executor lifetime).  [metrics] (default noop) receives the [uarch.*]
@@ -59,8 +60,17 @@ val prime_base : int
     mapping onto the same L1 sets. *)
 
 val prime_with_fills : t -> run_stats
-(** Prime the L1D by running a fill program through the pipeline (costs
-    simulated instructions; resets TLB/L1I afterwards). *)
+(** Fill every L1D set with out-of-sandbox lines, then reset the TLB and
+    L1I.  Applies the fill program's cache effects directly
+    ({!Memsys.prime_lines}): no simulated work, so the returned stats are
+    all zero.  Under [Config.legacy_hot_loop] or [Config.nl_prefetcher] it
+    runs {!simulate_fill_program} instead. *)
+
+val simulate_fill_program : t -> run_stats
+(** Prime by running the fill program (one dependent load per L1D way)
+    through the pipeline, which costs simulated cycles and instructions.
+    Leaves the caches, TLB, L1I and predictors exactly as
+    {!prime_with_fills} does: the reference it is tested against. *)
 
 val prime_with_flush : t -> unit
 (** Prime by direct invalidation (clean caches, no simulated work). *)
@@ -71,6 +81,9 @@ val l1d_tags : t -> int list
 val l1i_tags : t -> int list
 val tlb_pages : t -> int list
 val bp_state : t -> int array
+val cache_digest : t -> Digest.t
+(** Digest of the L1D and L2 tags and replacement state. *)
+
 val access_order : t -> (int * int) list
 val clear_access_order : t -> unit
 val branch_prediction_order : t -> (int * bool * int) list

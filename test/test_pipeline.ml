@@ -217,6 +217,79 @@ let test_run_stats_sane () =
   checkb "cycles positive" true (stats.Simulator.cycles > 0);
   check64 "result" 3L (State.read_reg (Simulator.arch_state sim) Reg.RAX)
 
+(* ------------------------------------------------------------------ *)
+(* Direct priming against the simulated fill program                   *)
+(* ------------------------------------------------------------------ *)
+
+(* everything a prime may touch: L1D/L2 tags and replacement state, the
+   TLB, the L1I and the predictors *)
+let primed_state sim =
+  ( Simulator.cache_digest sim,
+    Simulator.tlb_pages sim,
+    Simulator.l1i_tags sim,
+    Simulator.bp_state sim )
+
+(* Every fill-primed preset, plain and amplified: from the same state, the
+   direct prime and the pipeline-run fill program must leave identical
+   caches (tags and LRU order), TLB, L1I and predictors.  Test runs between
+   primes leave sandbox lines in both cache levels, as a campaign does. *)
+let test_direct_prime_matches_fill_program () =
+  let fill_presets =
+    List.filter (fun d -> d.Defense.priming = Defense.Fill_sets) Defense.all
+  in
+  List.iter
+    (fun (d : Defense.t) ->
+      List.iter
+        (fun (label, cfg) ->
+          let pages = d.Defense.sandbox_pages in
+          let sim = Simulator.create ~boot_insts:0 ~pages cfg in
+          let rng = Amulet.Rng.create ~seed:41 in
+          for round = 1 to 4 do
+            let what = Printf.sprintf "%s %s round %d" d.Defense.name label round in
+            let ctx = Simulator.snapshot_context sim in
+            let simulated = Simulator.simulate_fill_program sim in
+            let expected = primed_state sim in
+            Simulator.restore_context sim ctx;
+            let direct = Simulator.prime_with_fills sim in
+            checkb (what ^ ": fill program simulated") true
+              (simulated.Simulator.cycles > 0);
+            Alcotest.check Alcotest.int (what ^ ": direct prime costs no cycles") 0
+              direct.Simulator.cycles;
+            checkb (what ^ ": identical primed state") true
+              (primed_state sim = expected);
+            let flat = Amulet.Generator.generate_flat rng in
+            Simulator.load_state sim
+              (Amulet.Input.to_state (Amulet.Input.generate rng ~pages));
+            ignore (Simulator.run sim flat)
+          done)
+        [
+          "default", Defense.config d;
+          "l1d_ways=2", Defense.config ~l1d_ways:2 d;
+          "mshrs=2", Defense.config ~mshrs:2 d;
+        ])
+    fill_presets
+
+(* the two configurations that keep the simulated prime *)
+let test_simulated_prime_kept () =
+  let base = Defense.config Defense.invisispec in
+  List.iter
+    (fun (label, cfg) ->
+      let stats = Simulator.prime_with_fills (sim_of ~cfg ()) in
+      checkb (label ^ ": prime simulated") true
+        (stats.Simulator.cycles > 0 && stats.Simulator.committed_insts > 0))
+    [
+      "legacy hot loop", { base with Config.legacy_hot_loop = true };
+      "next-line prefetcher", { base with Config.nl_prefetcher = true };
+    ]
+
+(* the fill loads read zeros only while the sandbox stays below the
+   priming region *)
+let test_sandbox_below_prime_region () =
+  ignore (sim_of ~pages:255 ());
+  match sim_of ~pages:256 () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a 256-page sandbox overlapping the priming region was accepted"
+
 let () =
   Alcotest.run ~and_exit:false "pipeline"
     [
@@ -239,6 +312,15 @@ let () =
           Alcotest.test_case "priming fills cache" `Quick test_prime_fills_cache;
           Alcotest.test_case "flush hook" `Quick test_flush_hook;
           Alcotest.test_case "run stats" `Quick test_run_stats_sane;
+        ] );
+      ( "priming",
+        [
+          Alcotest.test_case "direct prime = fill program" `Quick
+            test_direct_prime_matches_fill_program;
+          Alcotest.test_case "simulated prime kept" `Quick
+            test_simulated_prime_kept;
+          Alcotest.test_case "sandbox below priming region" `Quick
+            test_sandbox_below_prime_region;
         ] );
     ]
 
