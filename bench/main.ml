@@ -23,6 +23,27 @@ let section title =
 
 let hline = String.make 78 '-'
 
+module Json = Amulet_obs.Json
+module Rng = Amulet_corpus.Rng
+module Generator = Amulet_corpus.Generator
+
+(* Write a section's JSON document to [default] (path overridable via
+   AMULET_BENCH_JSON). *)
+let write_bench_json ~default doc =
+  let json_path =
+    Option.value (Sys.getenv_opt "AMULET_BENCH_JSON") ~default
+  in
+  Out_channel.with_open_text json_path (fun oc ->
+      output_string oc doc;
+      output_char oc '\n');
+  Format.printf "wrote %s@." json_path
+
+(* Deterministic ratios keep the precision they are reported at; only
+   wall-clock figures print at the JSON writer's full precision. *)
+let rounded digits x =
+  let p = 10. ** float_of_int digits in
+  Float.round (x *. p) /. p
+
 (* ------------------------------------------------------------------ *)
 (* Table 1: leakage contracts                                          *)
 (* ------------------------------------------------------------------ *)
@@ -117,10 +138,10 @@ let microbench () =
 (* ------------------------------------------------------------------ *)
 
 let bench_spec ?(inputs = 10) ?(boosts = 4) ?(mode = Executor.Opt)
-    ?(format = Utrace.L1d_tlb) ?contract ?sim_config ?generator
+    ?(format = Utrace.L1d_tlb) ?contract ?sim_config ?generation
     ?(stop = None) ?(classify = true) ?(seed = 42) ?(programs = 20) defense =
   Run_spec.make ~defense ~rounds:programs ?stop_after:stop ~seed ~classify
-    ~inputs ~boosts ?contract ?generator ~mode ~trace_format:format
+    ~inputs ~boosts ?contract ?generation ~mode ~trace_format:format
     ?sim_config ()
 
 (* ------------------------------------------------------------------ *)
@@ -225,15 +246,17 @@ let table4 () =
       ( Defense.stt,
         scale 15,
         Some
-          { Generator.default with Generator.mem_fraction = 0.45; store_fraction = 0.4 }
-      );
+          (Run_spec.random
+             ~config:
+               { Generator.default with Generator.mem_fraction = 0.45; store_fraction = 0.4 }
+             ()) );
     ]
   in
   Format.printf "%-12s %-9s %-9s %-12s %-8s %-12s %s@." "Defense" "Contract"
     "Detected?" "Avg det (s)" "Unique" "tc/s" "Campaign time";
   List.iter
-    (fun (d, programs, generator) ->
-      let r = Campaign.run (bench_spec ~inputs:8 ~boosts:5 ?generator ~programs d) in
+    (fun (d, programs, generation) ->
+      let r = Campaign.run (bench_spec ~inputs:8 ~boosts:5 ?generation ~programs d) in
       Format.printf "%-12s %-9s %-9s %-12s %-8d %-12.0f %.1f s@." d.Defense.name
         r.Campaign.contract_name
         (if Campaign.detected r then "YES" else "no")
@@ -344,10 +367,11 @@ let table6 () =
 let table8 () =
   section "Table 8: CleanupSpec violation types, original vs store-cleanup patch";
   let classes d =
-    let generator = { Generator.default with Generator.unaligned_fraction = 0.5 } in
+    let config = { Generator.default with Generator.unaligned_fraction = 0.5 } in
     let r =
       Campaign.run
-        (bench_spec ~inputs:8 ~boosts:5 ~generator ~stop:(Some 10)
+        (bench_spec ~inputs:8 ~boosts:5
+           ~generation:(Run_spec.random ~config ()) ~stop:(Some 10)
            ~programs:(scale 40) d)
     in
     List.map fst r.Campaign.violation_classes
@@ -600,16 +624,21 @@ let extension_robustness () =
   Format.printf "journal checkpoint write: %.3f ms (atomic temp+rename, %d reps)@."
     write_ms reps;
   (* machine-readable summary line for downstream tooling *)
-  let faults_json =
-    String.concat ","
-      (List.map
-         (fun (c, n) -> Printf.sprintf "\"%s\":%d" (Fault.class_name c) n)
-         r.Campaign.fault_counts)
-  in
-  Format.printf
-    "{\"bench\":\"robustness\",\"programs\":%d,\"discarded\":%d,\"quarantined\":%d,\"faults\":{%s},\"journal_write_ms\":%.3f}@."
-    r.Campaign.programs_run r.Campaign.discarded_programs r.Campaign.quarantined
-    faults_json write_ms;
+  Format.printf "%s@."
+    (Json.to_string
+       (Json.Obj
+          [
+            ("bench", Json.Str "robustness");
+            ("programs", Json.Int r.Campaign.programs_run);
+            ("discarded", Json.Int r.Campaign.discarded_programs);
+            ("quarantined", Json.Int r.Campaign.quarantined);
+            ( "faults",
+              Json.Obj
+                (List.map
+                   (fun (c, n) -> (Fault.class_name c, Json.Int n))
+                   r.Campaign.fault_counts) );
+            ("journal_write_ms", Json.Float write_ms);
+          ]));
   if Sys.file_exists qdir then begin
     Array.iter (fun f -> Sys.remove (Filename.concat qdir f)) (Sys.readdir qdir);
     Sys.rmdir qdir
@@ -833,43 +862,62 @@ let throughput () =
     Format.printf "telemetry: trace-invisible, %.1f%% overhead (%d counters live)@."
       telemetry_overhead_pct
       (List.length metrics_snapshot.Amulet_obs.Obs.Snapshot.counters);
-  let json_path =
-    Option.value (Sys.getenv_opt "AMULET_BENCH_JSON") ~default:"BENCH_throughput.json"
+  let engine_json t tps ips (st : Engine.stats) =
+    Json.Obj
+      [
+        ("seconds", Json.Float t);
+        ("tests_per_sec", Json.Float tps);
+        ("inputs_per_sec", Json.Float ips);
+        ("sims_created", Json.Int st.Engine.sims_created);
+        ("snapshot_restores", Json.Int st.Engine.snapshot_restores);
+      ]
   in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{\"bench\":\"throughput\",\"boot_insts\":%d,\"programs\":%d,\
-     \"inputs_per_program\":%d,\
-     \"naive\":{\"seconds\":%.4f,\"tests_per_sec\":%.2f,\"inputs_per_sec\":%.2f,\
-     \"sims_created\":%d,\"snapshot_restores\":%d},\
-     \"pooled\":{\"seconds\":%.4f,\"tests_per_sec\":%.2f,\"inputs_per_sec\":%.2f,\
-     \"sims_created\":%d,\"snapshot_restores\":%d},\
-     \"speedup\":%.3f,\"opt_mode_speedup\":%.3f,\
-     \"snapshot_us\":%.2f,\"restore_us\":%.2f,\"warm_boot_us\":%.2f,\
-     \"traces_identical\":%b,\
-     \"telemetry\":{\"trace_invisible\":%b,\"overhead_pct\":%.2f},\
-     \"decode_amortization\":{\"boot_insts\":%d,\"presets\":[%s],\
-     \"min_speedup\":%.3f,\"gate\":%.1f,\"traces_identical\":%b,\
-     \"decodes_amortized\":%b,\"ok\":%b},\
-     \"metrics\":%s}\n"
-    boot programs n_inputs t_naive tps_n ips_n s_naive.Engine.sims_created
-    s_naive.Engine.snapshot_restores t_pooled tps_p ips_p
-    s_pooled.Engine.sims_created s_pooled.Engine.snapshot_restores speedup
-    speedup_opt snapshot_us restore_us boot_us (identical && identical_opt)
-    telemetry_invisible telemetry_overhead_pct decode_boot
-    (String.concat ","
-       (List.map
-          (fun (name, tl, topt, sp, same, decodes) ->
-            Printf.sprintf
-              "{\"preset\":\"%s\",\"legacy_seconds\":%.4f,\
-               \"optimized_seconds\":%.4f,\"speedup\":%.3f,\
-               \"traces_identical\":%b,\"programs_decoded\":%d}"
-              name tl topt sp same decodes)
-          decode_rows))
-    decode_min_speedup decode_gate decode_identical decode_amortized decode_ok
-    (Amulet_obs.Obs.Snapshot.to_json metrics_snapshot);
-  close_out oc;
-  Format.printf "wrote %s@." json_path;
+  let decode_row (name, tl, topt, sp, same, decodes) =
+    Json.Obj
+      [
+        ("preset", Json.Str name);
+        ("legacy_seconds", Json.Float tl);
+        ("optimized_seconds", Json.Float topt);
+        ("speedup", Json.Float sp);
+        ("traces_identical", Json.Bool same);
+        ("programs_decoded", Json.Int decodes);
+      ]
+  in
+  write_bench_json ~default:"BENCH_throughput.json"
+    (Json.to_string
+       (Json.Obj
+          [
+            ("bench", Json.Str "throughput");
+            ("boot_insts", Json.Int boot);
+            ("programs", Json.Int programs);
+            ("inputs_per_program", Json.Int n_inputs);
+            ("naive", engine_json t_naive tps_n ips_n s_naive);
+            ("pooled", engine_json t_pooled tps_p ips_p s_pooled);
+            ("speedup", Json.Float speedup);
+            ("opt_mode_speedup", Json.Float speedup_opt);
+            ("snapshot_us", Json.Float snapshot_us);
+            ("restore_us", Json.Float restore_us);
+            ("warm_boot_us", Json.Float boot_us);
+            ("traces_identical", Json.Bool (identical && identical_opt));
+            ( "telemetry",
+              Json.Obj
+                [
+                  ("trace_invisible", Json.Bool telemetry_invisible);
+                  ("overhead_pct", Json.Float telemetry_overhead_pct);
+                ] );
+            ( "decode_amortization",
+              Json.Obj
+                [
+                  ("boot_insts", Json.Int decode_boot);
+                  ("presets", Json.List (List.map decode_row decode_rows));
+                  ("min_speedup", Json.Float decode_min_speedup);
+                  ("gate", Json.Float decode_gate);
+                  ("traces_identical", Json.Bool decode_identical);
+                  ("decodes_amortized", Json.Bool decode_amortized);
+                  ("ok", Json.Bool decode_ok);
+                ] );
+            ("metrics", Amulet_obs.Obs.Snapshot.json metrics_snapshot);
+          ]));
   if not (identical && identical_opt && telemetry_invisible && decode_ok) then
     exit 1
 
@@ -910,14 +958,7 @@ let sweep_bench () =
       "(host has 1 core: no speedup expected; determinism still enforced)@.";
   if identical then Format.printf "fingerprint: %s (identical across domain counts)@." fp1
   else Format.printf "ERROR: sweep fingerprints DIVERGED (%s vs %s)@." fp1 fpn;
-  let json_path =
-    Option.value (Sys.getenv_opt "AMULET_BENCH_JSON") ~default:"BENCH_sweep.json"
-  in
-  let oc = open_out json_path in
-  output_string oc (Sweep.to_json rn);
-  output_char oc '\n';
-  close_out oc;
-  Format.printf "wrote %s@." json_path;
+  write_bench_json ~default:"BENCH_sweep.json" (Sweep.to_json rn);
   if not identical then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -989,7 +1030,8 @@ let static_bench () =
   let rounds = scale 50 in
   let spec filter =
     Run_spec.make ~defense:Defense.baseline ~rounds ~seed:2024 ~classify:false
-      ~inputs:8 ~boosts:4 ~boot_insts:200 ~generator:fence_cfg
+      ~inputs:8 ~boosts:4 ~boot_insts:200
+      ~generation:(Run_spec.random ~config:fence_cfg ())
       ~static_filter:filter ()
   in
   let ident (v : Violation.t) =
@@ -1025,27 +1067,41 @@ let static_bench () =
       "screen filter: sound (same violations, %d%% fewer inputs simulated)@."
       (100 * (off.Campaign.test_cases - screen.Campaign.test_cases)
       / off.Campaign.test_cases);
-  let json_path =
-    Option.value (Sys.getenv_opt "AMULET_BENCH_JSON") ~default:"BENCH_static.json"
+  let outcome (r : Campaign.result) =
+    [
+      ("violations", Json.Int (List.length r.Campaign.violations));
+      ("test_cases", Json.Int r.Campaign.test_cases);
+    ]
   in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{\"bench\":\"static\",\"programs_analyzed\":%d,\
-     \"analysis_programs_per_sec\":%.1f,\
-     \"screen_rate\":{\"default_generator\":%.4f,\"fence_rich_generator\":%.4f},\
-     \"reproducers\":{\"total\":%d,\"flagged_leaky\":%d},\
-     \"campaign\":{\"rounds\":%d,\
-     \"off\":{\"violations\":%d,\"test_cases\":%d},\
-     \"screen\":{\"violations\":%d,\"test_cases\":%d,\"rounds_screened\":%d},\
-     \"violations_identical\":%b}}\n"
-    n progs_per_sec screen_rate_default screen_rate_fenced n_repro
-    (List.length flagged) rounds
-    (List.length off.Campaign.violations)
-    off.Campaign.test_cases
-    (List.length screen.Campaign.violations)
-    screen.Campaign.test_cases screened same_violations;
-  close_out oc;
-  Format.printf "wrote %s@." json_path;
+  write_bench_json ~default:"BENCH_static.json"
+    (Json.to_string
+       (Json.Obj
+          [
+            ("bench", Json.Str "static");
+            ("programs_analyzed", Json.Int n);
+            ("analysis_programs_per_sec", Json.Float progs_per_sec);
+            ( "screen_rate",
+              Json.Obj
+                [
+                  ("default_generator", Json.Float (rounded 4 screen_rate_default));
+                  ("fence_rich_generator", Json.Float (rounded 4 screen_rate_fenced));
+                ] );
+            ( "reproducers",
+              Json.Obj
+                [
+                  ("total", Json.Int n_repro);
+                  ("flagged_leaky", Json.Int (List.length flagged));
+                ] );
+            ( "campaign",
+              Json.Obj
+                [
+                  ("rounds", Json.Int rounds);
+                  ("off", Json.Obj (outcome off));
+                  ( "screen",
+                    Json.Obj (outcome screen @ [ ("rounds_screened", Json.Int screened) ]) );
+                  ("violations_identical", Json.Bool same_violations);
+                ] );
+          ]));
   if not (repro_sound && same_violations && screened > 0 && fewer_inputs) then
     exit 1
 
@@ -1168,38 +1224,39 @@ let guided_bench () =
     Format.printf "ERROR: guided findings differ across engine kinds@.";
   if not domain_invariant then
     Format.printf "ERROR: guided sweep fingerprint depends on domain count@.";
-  let json_path =
-    Option.value (Sys.getenv_opt "AMULET_BENCH_JSON") ~default:"BENCH_guided.json"
+  let ratio_json r = Json.Float (rounded 3 (Float.min r 9999.)) in
+  let outcome (r : Campaign.result) =
+    Json.Obj
+      [
+        ("violations", Json.Int (List.length r.Campaign.violations));
+        ("test_cases", Json.Int r.Campaign.test_cases);
+        ("vp1k", Json.Float (rounded 3 (vp1k r)));
+      ]
   in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    "{\"bench\":\"guided\",\"rounds\":%d,\"seed\":%d,\"presets\":[%s],\
-     \"best_ratio\":%s,\"speedup_ok\":%b,\
-     \"engine_invariant\":%b,\"domain_invariant\":%b,\
-     \"fingerprint_1_domain\":\"%s\",\"fingerprint_4_domains\":\"%s\"}\n"
-    rounds seed
-    (String.concat ","
-       (List.map
-          (fun (name, random, guided, ratio) ->
-            Printf.sprintf
-              "{\"preset\":\"%s\",\
-               \"random\":{\"violations\":%d,\"test_cases\":%d,\"vp1k\":%.3f},\
-               \"guided\":{\"violations\":%d,\"test_cases\":%d,\"vp1k\":%.3f},\
-               \"ratio\":%s}"
-              name
-              (List.length random.Campaign.violations)
-              random.Campaign.test_cases (vp1k random)
-              (List.length guided.Campaign.violations)
-              guided.Campaign.test_cases (vp1k guided)
-              (if Float.is_integer ratio || Float.is_nan ratio
-                 || ratio = Float.infinity
-               then Printf.sprintf "%.1f" (Float.min ratio 9999.)
-               else Printf.sprintf "%.3f" ratio))
-          rows))
-    (Printf.sprintf "%.3f" (Float.min best_ratio 9999.))
-    speedup_ok engine_invariant domain_invariant fp1 fp4;
-  close_out oc;
-  Format.printf "wrote %s@." json_path;
+  let row (name, random, guided, ratio) =
+    Json.Obj
+      [
+        ("preset", Json.Str name);
+        ("random", outcome random);
+        ("guided", outcome guided);
+        ("ratio", ratio_json ratio);
+      ]
+  in
+  write_bench_json ~default:"BENCH_guided.json"
+    (Json.to_string
+       (Json.Obj
+          [
+            ("bench", Json.Str "guided");
+            ("rounds", Json.Int rounds);
+            ("seed", Json.Int seed);
+            ("presets", Json.List (List.map row rows));
+            ("best_ratio", ratio_json best_ratio);
+            ("speedup_ok", Json.Bool speedup_ok);
+            ("engine_invariant", Json.Bool engine_invariant);
+            ("domain_invariant", Json.Bool domain_invariant);
+            ("fingerprint_1_domain", Json.Str fp1);
+            ("fingerprint_4_domains", Json.Str fp4);
+          ]));
   if not (speedup_ok && engine_invariant && domain_invariant) then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -1269,14 +1326,7 @@ let triage_bench () =
   if not bounded then Format.printf "ERROR: more clusters than findings@.";
   if not named then
     Format.printf "ERROR: no cluster carries a bisected mechanism@.";
-  let json_path =
-    Option.value (Sys.getenv_opt "AMULET_BENCH_JSON") ~default:"BENCH_triage.json"
-  in
-  let oc = open_out json_path in
-  output_string oc (Triage.report_to_json report);
-  output_char oc '\n';
-  close_out oc;
-  Format.printf "wrote %s@." json_path;
+  write_bench_json ~default:"BENCH_triage.json" (Triage.report_to_json report);
   if not (stable && bounded && named && clusters <> []) then exit 1
 
 (* ------------------------------------------------------------------ *)

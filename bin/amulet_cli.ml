@@ -7,8 +7,8 @@
      worker     - join a coordinator as a campaign worker process
      reproduce  - hunt a known vulnerability, or replay a violation/PoC file
      run        - execute an assembly file on the simulator and print traces
-     analyze    - revalidate/classify/minimize a saved violation
-     explain    - one-element triage view of a saved violation
+     explain    - one-element triage view of a saved violation (bisected,
+                  optionally minimized)
      triage     - cluster/bisect a violation stream into ranked root causes
      lint       - static leakage pre-analysis of a program (no simulation)
      corpus     - inspect a guided-fuzzing corpus checkpoint
@@ -21,7 +21,9 @@
 open Cmdliner
 open Amulet
 open Amulet_defenses
-module Json = Output.Json
+module Json = Amulet_obs.Json
+module Rng = Amulet_corpus.Rng
+module Generator = Amulet_corpus.Generator
 
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
@@ -219,7 +221,7 @@ let result_json (r : Campaign.result) =
       ("throughput", Json.Float r.throughput);
       ("detection_times", Json.List (List.map (fun t -> Json.Float t) r.detection_times));
       ("budget_exhausted", Json.Bool r.budget_exhausted);
-      ("metrics", Json.Raw (Amulet_obs.Obs.Snapshot.to_json r.metrics));
+      ("metrics", Amulet_obs.Obs.Snapshot.json r.metrics);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1092,71 +1094,6 @@ let run_cmd =
     term
 
 (* ------------------------------------------------------------------ *)
-(* analyze                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let analyze_cmd =
-  let file =
-    Arg.(
-      required & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"A violation file written by fuzz --save-dir.")
-  in
-  let do_minimize =
-    Arg.(value & flag & info [ "minimize" ] ~doc:"Also minimize the test program.")
-  in
-  let ways =
-    Arg.(value & opt (some int) None & info [ "ways" ] ~doc:"Amplification: L1D ways.")
-  in
-  let mshrs =
-    Arg.(value & opt (some int) None & info [ "mshrs" ] ~doc:"Amplification: MSHR count.")
-  in
-  let run file do_minimize ways mshrs json =
-   Output.guarded @@ fun () ->
-    let stored = Violation_io.load file in
-    if not json then begin
-      Format.printf "defense: %s  contract: %s%s@." stored.Violation_io.defense_name
-        stored.Violation_io.contract_name
-        (match stored.Violation_io.signature with
-        | Some s -> "  (recorded signature: " ^ s ^ ")"
-        | None -> "");
-      Format.printf "--- program ---@.%a@." Amulet_isa.Program.pp_flat
-        stored.Violation_io.program
-    end;
-    let sim_config =
-      match ways, mshrs, Defense.find stored.Violation_io.defense_name with
-      | None, None, _ | _, _, None -> None
-      | _, _, Some d -> Some (Defense.config ?l1d_ways:ways ?mshrs d)
-    in
-    let f = Triage.explain ?sim_config stored in
-    let f =
-      if do_minimize then Triage.shrink ?sim_config f else f
-    in
-    if json then print_endline (Triage.finding_to_json f)
-    else if f.Triage.status = Triage.Not_reproduced then
-      Format.printf
-        "violation did NOT reproduce under a fresh context (it may need the          original campaign's microarchitectural context or an amplified          configuration: try --ways/--mshrs)@."
-    else begin
-      (match f.Triage.leak_class with
-      | Some c -> Format.printf "reproduced; signature: %s@." (Analysis.class_name c)
-      | None -> ());
-      (match f.Triage.minimized with
-      | Some m -> Format.printf "%a" Minimize.pp_result m
-      | None -> ())
-    end;
-    if f.Triage.status = Triage.Reproduced then Output.exit_violation
-    else Output.exit_clean
-  in
-  let term = Term.(const run $ file $ do_minimize $ ways $ mshrs $ json_t) in
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:
-         "Reload a saved violation, revalidate, classify and optionally \
-          minimize it (a thin view over the Triage pipeline; --json emits \
-          the amulet.triage/1 finding object).  Exits 1 when the violation \
-          reproduces, 0 when it does not.")
-    term
-
-(* ------------------------------------------------------------------ *)
 (* explain                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1172,7 +1109,10 @@ let explain_cmd =
   let mshrs =
     Arg.(value & opt (some int) None & info [ "mshrs" ] ~doc:"Amplification: MSHR count.")
   in
-  let run file json ways mshrs =
+  let do_minimize =
+    Arg.(value & flag & info [ "minimize" ] ~doc:"Also minimize the test program.")
+  in
+  let run file json ways mshrs do_minimize =
    Output.guarded @@ fun () ->
     let stored = Violation_io.load file in
     let sim_config =
@@ -1180,11 +1120,9 @@ let explain_cmd =
       | None, None, _ | _, _, None -> None
       | _, _, Some d -> Some (Defense.config ?l1d_ways:ways ?mshrs d)
     in
-    let f = Triage.explain ?sim_config stored in
-    let f =
-      if f.Triage.status = Triage.Reproduced then Triage.bisect ?sim_config f
-      else f
-    in
+    (* bisect and shrink leave a not-reproduced finding untouched *)
+    let f = Triage.bisect ?sim_config (Triage.explain ?sim_config stored) in
+    let f = if do_minimize then Triage.shrink ?sim_config f else f in
     (* a strict one-element view of the triage schema: the report either
        holds this finding's singleton cluster or records it as dead *)
     let report =
@@ -1214,16 +1152,17 @@ let explain_cmd =
     if f.Triage.status = Triage.Reproduced then Output.exit_violation
     else Output.exit_fault
   in
-  let term = Term.(const run $ file $ json_t $ ways $ mshrs) in
+  let term = Term.(const run $ file $ json_t $ ways $ mshrs $ do_minimize) in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
          "Violation forensics: re-run a saved violation's two inputs from an \
           identical microarchitectural context and report the contract-trace \
           comparison, the trace diff, the hardware-counter delta, the \
-          root-cause class, and the bisected mechanism — a one-element view \
-          of the amulet.triage/1 schema.  Exits 1 when the violation \
-          reproduces, 2 (with status not_reproduced) when it does not.")
+          root-cause class, the bisected mechanism and (with --minimize) \
+          the minimized program — a one-element view of the amulet.triage/1 \
+          schema.  Exits 1 when the violation reproduces, 2 (with status \
+          not_reproduced) when it does not.")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -1663,7 +1602,7 @@ let main =
   Cmd.group (Cmd.info "amulet" ~version:"1.0.0" ~doc)
     [
       fuzz_cmd; sweep_cmd; serve_cmd; worker_cmd; reproduce_cmd; run_cmd;
-      analyze_cmd; explain_cmd; triage_cmd; lint_cmd; corpus_cmd; list_cmd;
+      explain_cmd; triage_cmd; lint_cmd; corpus_cmd; list_cmd;
     ]
 
 let () = exit (Cmd.eval' main)

@@ -1,87 +1,19 @@
-(* Shared output conventions for every amulet subcommand.
+(* Shared conventions for every amulet subcommand.
 
    Exit codes are uniform across the CLI:
      0  clean — the command did its job and found no violation
      1  violation(s) found / reproduced
      2  usage error or internal fault (unknown name, unreadable file,
-        crashed shard, exception)
+        crashed shard, exception, a saved violation that no longer
+        reproduces)
 
-   The [Json] module is a minimal emitter (no external dependency) used by
-   the --json flag of fuzz/sweep/reproduce/analyze/explain/list; [Raw]
-   embeds documents that already render themselves (Obs snapshots,
-   forensics reports, sweep reports). *)
+   [guarded] runs a subcommand body under that fault convention. *)
 
 let exit_clean = 0
 let exit_violation = 1
 let exit_fault = 2
 
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-    | Raw of string  (** pre-rendered JSON, embedded verbatim *)
-
-  let escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let rec write buf = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (string_of_bool b)
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f ->
-        if Float.is_integer f && Float.abs f < 1e15 then
-          Buffer.add_string buf (Printf.sprintf "%.1f" f)
-        else Buffer.add_string buf (Printf.sprintf "%.6g" f)
-    | Str s ->
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
-        Buffer.add_char buf '"'
-    | Raw s -> Buffer.add_string buf s
-    | List items ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_char buf ',';
-            write buf item)
-          items;
-        Buffer.add_char buf ']'
-    | Obj fields ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_char buf '"';
-            Buffer.add_string buf (escape k);
-            Buffer.add_string buf "\":";
-            write buf v)
-          fields;
-        Buffer.add_char buf '}'
-
-  let to_string j =
-    let buf = Buffer.create 1024 in
-    write buf j;
-    Buffer.contents buf
-end
-
-let emit json = print_endline (Json.to_string json)
+let emit json = print_endline (Amulet_obs.Json.to_string json)
 
 let write_file path contents =
   Out_channel.with_open_text path (fun oc ->

@@ -27,6 +27,7 @@
 
 open Amulet_defenses
 module Obs = Amulet_obs.Obs
+module Json = Amulet_obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
@@ -533,73 +534,62 @@ let serve (t : t) (jobs : Sweep.job list) : report =
 (* Reporting                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json report =
-  let buf = Buffer.create 4096 in
-  let str s = "\"" ^ json_escape s ^ "\"" in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{";
-  add "\"schema\":\"amulet.serve/1\",";
-  add "\"jobs\":%d,\"crashed\":%d," (List.length report.shards) report.crashed;
-  add "\"workers_joined\":%d,\"reassignments\":%d," report.workers_joined
-    report.reassignments;
-  add "\"worker_lost\":%d,\"protocol_errors\":%d," report.worker_lost
-    report.protocol_errors;
-  add "\"wall_s\":%.3f,\"test_cases\":%d,\"violations\":%d," report.wall_s
-    report.test_cases report.violations;
-  add "\"distinct_clusters\":%d," report.distinct_clusters;
-  add "\"fingerprint\":%s," (str report.fingerprint);
-  add "\"rows\":[";
-  List.iteri
-    (fun i (r : Sweep.Ident.row) ->
-      if i > 0 then add ",";
-      add "{\"defense\":%s,\"contract\":%s," (str r.defense) (str r.contract);
-      add "\"rounds\":%d,\"discarded\":%d,\"test_cases\":%d," r.rounds
-        r.discarded r.test_cases;
-      add "\"violations\":%d,\"distinct_signatures\":%d}"
-        (List.length r.violations)
-        (Sweep.Ident.distinct r.violations))
-    report.rows;
-  add "],";
-  add "\"shards\":[";
-  List.iteri
-    (fun i s ->
-      if i > 0 then add ",";
-      add "{\"job\":%d,\"defense\":%s," s.job.Sweep.id
-        (str s.job.Sweep.spec.Run_spec.defense.Defense.name);
-      add "\"attempts\":%d,\"worker\":%s," s.attempts (str s.worker);
-      (match s.status with
+  let row (r : Sweep.Ident.row) =
+    Json.Obj
+      [
+        ("defense", Json.Str r.defense);
+        ("contract", Json.Str r.contract);
+        ("rounds", Json.Int r.rounds);
+        ("discarded", Json.Int r.discarded);
+        ("test_cases", Json.Int r.test_cases);
+        ("violations", Json.Int (List.length r.violations));
+        ("distinct_signatures", Json.Int (Sweep.Ident.distinct r.violations));
+      ]
+  in
+  let shard s =
+    Json.Obj
+      ([
+         ("job", Json.Int s.job.Sweep.id);
+         ("defense", Json.Str s.job.Sweep.spec.Run_spec.defense.Defense.name);
+         ("attempts", Json.Int s.attempts);
+         ("worker", Json.Str s.worker);
+       ]
+      @
+      match s.status with
       | Done r ->
-          add "\"status\":\"done\",\"rounds\":%d,\"wall_s\":%.3f}"
-            r.Proto.rounds_done s.wall_s
-      | Abandoned why -> add "\"status\":\"abandoned\",\"reason\":%s}" (str why)))
-    report.shards;
-  add "],";
-  add "\"faults\":{";
-  List.iteri
-    (fun j (c, k) ->
-      if j > 0 then add ",";
-      add "%s:%d" (str (Fault.class_name c)) k)
-    report.fault_counts;
-  add "},";
-  add "\"metrics\":%s" (Obs.Snapshot.to_json report.metrics);
-  add "}";
-  Buffer.contents buf
+          [
+            ("status", Json.Str "done");
+            ("rounds", Json.Int r.Proto.rounds_done);
+            ("wall_s", Json.Float s.wall_s);
+          ]
+      | Abandoned why ->
+          [ ("status", Json.Str "abandoned"); ("reason", Json.Str why) ])
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", Json.Str "amulet.serve/1");
+         ("jobs", Json.Int (List.length report.shards));
+         ("crashed", Json.Int report.crashed);
+         ("workers_joined", Json.Int report.workers_joined);
+         ("reassignments", Json.Int report.reassignments);
+         ("worker_lost", Json.Int report.worker_lost);
+         ("protocol_errors", Json.Int report.protocol_errors);
+         ("wall_s", Json.Float report.wall_s);
+         ("test_cases", Json.Int report.test_cases);
+         ("violations", Json.Int report.violations);
+         ("distinct_clusters", Json.Int report.distinct_clusters);
+         ("fingerprint", Json.Str report.fingerprint);
+         ("rows", Json.List (List.map row report.rows));
+         ("shards", Json.List (List.map shard report.shards));
+         ( "faults",
+           Json.Obj
+             (List.map
+                (fun (c, k) -> (Fault.class_name c, Json.Int k))
+                report.fault_counts) );
+         ("metrics", Obs.Snapshot.json report.metrics);
+       ])
 
 let pp fmt report =
   Format.fprintf fmt

@@ -175,6 +175,8 @@ let injector ?(p_crash = 0.) ?(p_timeout = 0.) ?(p_sim_fault = 0.)
     chaos_seed = seed;
   }
 
+module Rng = Amulet_corpus.Rng
+
 type chaos = { inj : injector; rng : Rng.t; service_rng : Rng.t }
 
 let arm inj =

@@ -11,6 +11,8 @@ open Amulet_isa
 open Amulet_contracts
 open Amulet_defenses
 open Amulet_obs
+module Rng = Amulet_corpus.Rng
+module Generator = Amulet_corpus.Generator
 
 type config = {
   n_base_inputs : int;

@@ -10,7 +10,7 @@ type config = {
   boosts_per_input : int;
   contract : Contract.t option;  (** override the defense's default *)
   generation : Run_spec.generation;  (** how test programs are produced *)
-  generator : Generator.config;
+  generator : Amulet_corpus.Generator.config;
       (** effective base generator config (= [generation]'s base with the
           defense's sandbox-pages override applied after {!create}) *)
   executor_mode : Executor.mode;

@@ -7,6 +7,7 @@
 
 open Amulet_isa
 open Amulet_emu
+module Rng = Amulet_corpus.Rng
 
 type t = { regs : int64 array; mem : Bytes.t }
 

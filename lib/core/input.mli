@@ -5,12 +5,12 @@ open Amulet_emu
 type t = { regs : int64 array; mem : Bytes.t }
 
 val pages : t -> int
-val generate : Rng.t -> pages:int -> t
+val generate : Amulet_corpus.Rng.t -> pages:int -> t
 
 val to_state : t -> State.t
 (** Materialize architectural state; pins [R14] to the sandbox base. *)
 
-val mutate_free : Rng.t -> Taint.t -> t -> t
+val mutate_free : Amulet_corpus.Rng.t -> Taint.t -> t -> t
 (** Boosting: randomize exactly the atoms NOT in the taint tracker's
     relevant set — same contract trace, different speculative behaviour. *)
 

@@ -19,6 +19,7 @@
 open Amulet_contracts
 open Amulet_defenses
 module Config = Amulet_uarch.Config
+module Generator = Amulet_corpus.Generator
 
 let version = 4
 
@@ -400,8 +401,7 @@ let g_spec rd : Run_spec.t =
   {
     Run_spec.defense; contract; rounds; seed; stop_after_violations; classify;
     deadline_ms; budget_ms; n_base_inputs; boosts_per_input; generation;
-    generator = Run_spec.generation_base generation; mode;
-    engine; trace_format; boot_insts; sim_config; quarantine_dir; chaos;
+    mode; engine; trace_format; boot_insts; sim_config; quarantine_dir; chaos;
     isolate_rounds; static_filter;
   }
 

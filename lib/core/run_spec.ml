@@ -1,5 +1,6 @@
 open Amulet_contracts
 open Amulet_defenses
+module Generator = Amulet_corpus.Generator
 
 (** Static pre-filter policy (see [Amulet_static.Leakcheck]): [Off] runs
     every generated program; [Screen] skips programs classified statically
@@ -57,8 +58,6 @@ type t = {
   n_base_inputs : int;
   boosts_per_input : int;
   generation : generation;
-  generator : Generator.config;
-      (** deprecated alias: always the base config of [generation] *)
   mode : Executor.mode;
   engine : Engine.kind;
   trace_format : Utrace.format;
@@ -70,28 +69,12 @@ type t = {
   static_filter : static_filter;
 }
 
-let make ~defense ?engine ?backend ?(seed = 42) ?(rounds = 20) ?deadline_ms
-    ?budget_ms ?(inputs = 10) ?(boosts = 4) ?contract ?stop_after
-    ?(classify = true) ?generation ?generator ?(mode = Executor.Opt)
-    ?(trace_format = Utrace.L1d_tlb)
+let make ~defense ?(engine = Engine.Pooled) ?(seed = 42) ?(rounds = 20)
+    ?deadline_ms ?budget_ms ?(inputs = 10) ?(boosts = 4) ?contract ?stop_after
+    ?(classify = true) ?(generation = Random Generator.default)
+    ?(mode = Executor.Opt) ?(trace_format = Utrace.L1d_tlb)
     ?(boot_insts = Amulet_uarch.Simulator.default_boot_insts) ?sim_config
     ?quarantine_dir ?chaos ?(isolate_rounds = true) ?(static_filter = Off) () =
-  let engine =
-    match (engine, backend) with
-    | Some k, _ -> k
-    | None, Some Executor.Pool -> Engine.Pooled
-    | None, Some Executor.Rebuild -> Engine.Naive
-    | None, None -> Engine.Pooled
-  in
-  (* [generation] is the API; [generator] survives as the deprecated
-     random-only spelling.  An explicit strategy wins; the alias field is
-     kept coherent with the strategy's base config either way. *)
-  let generation =
-    match (generation, generator) with
-    | Some g, _ -> g
-    | None, Some cfg -> Random cfg
-    | None, None -> Random Generator.default
-  in
   {
     defense;
     contract;
@@ -104,7 +87,6 @@ let make ~defense ?engine ?backend ?(seed = 42) ?(rounds = 20) ?deadline_ms
     n_base_inputs = inputs;
     boosts_per_input = boosts;
     generation;
-    generator = generation_base generation;
     mode;
     engine;
     trace_format;
@@ -122,15 +104,6 @@ let with_defense t defense = { t with defense }
 let generator_config t = generation_base t.generation
 
 let corpus_params t = generation_corpus t.generation
-
-(* Update the strategy's base generator config (and the alias field with
-   it) — e.g. the defense-driven sandbox-pages override in [Fuzzer]. *)
-let map_generator f t =
-  let generation = map_generation_base f t.generation in
-  { t with generation; generator = generation_base generation }
-
-let with_generation t generation =
-  { t with generation; generator = generation_base generation }
 
 let contract_name t =
   match t.contract with

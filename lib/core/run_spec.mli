@@ -2,7 +2,7 @@
     run end to end — what to test ([defense], [contract]), how long
     ([rounds], [stop_after_violations], per-round [deadline_ms], whole-run
     [budget_ms]), how to generate work ([n_base_inputs], [boosts_per_input],
-    [generator], [seed]) and how to execute it ([mode], [engine],
+    [generation], [seed]) and how to execute it ([mode], [engine],
     [trace_format], [boot_insts], [sim_config]).
 
     This record consolidates the knobs that used to be spread across
@@ -26,25 +26,25 @@ val static_filter_name : static_filter -> string
 val static_filter_of_name : string -> static_filter option
 
 type generation =
-  | Random of Generator.config
-  | Guided of { base : Generator.config; corpus : Amulet_corpus.Corpus.params }
+  | Random of Amulet_corpus.Generator.config
+  | Guided of { base : Amulet_corpus.Generator.config; corpus : Amulet_corpus.Corpus.params }
       (** [Random] is the classic blind-random front end; [Guided] layers
           the coverage-feedback corpus, power-schedule seed scheduler and
           mutation engine of [Amulet_corpus] on the same base generator. *)
 
-val random : ?config:Generator.config -> unit -> generation
+val random : ?config:Amulet_corpus.Generator.config -> unit -> generation
 val guided :
-  ?base:Generator.config -> ?corpus:Amulet_corpus.Corpus.params -> unit ->
+  ?base:Amulet_corpus.Generator.config -> ?corpus:Amulet_corpus.Corpus.params -> unit ->
   generation
 
 val generation_name : generation -> string
 (** ["random"] or ["guided"]. *)
 
-val generation_base : generation -> Generator.config
+val generation_base : generation -> Amulet_corpus.Generator.config
 val generation_corpus : generation -> Amulet_corpus.Corpus.params option
 
 val map_generation_base :
-  (Generator.config -> Generator.config) -> generation -> generation
+  (Amulet_corpus.Generator.config -> Amulet_corpus.Generator.config) -> generation -> generation
 (** Update the base generator config inside either strategy. *)
 
 type t = {
@@ -64,12 +64,6 @@ type t = {
   n_base_inputs : int;
   boosts_per_input : int;
   generation : generation;  (** how each round's test program is produced *)
-  generator : Generator.config;
-      (** @deprecated alias: always equal to [generation_base generation];
-          kept so pre-strategy callers that read the flat field keep
-          working.  Write through {!make} [?generator], {!with_generation}
-          or {!map_generator}, never by functional update of this field
-          alone. *)
   (* execution *)
   mode : Executor.mode;
   engine : Engine.kind;  (** execution backend (trace-invisible) *)
@@ -86,7 +80,6 @@ type t = {
 val make :
   defense:Defense.t ->
   ?engine:Engine.kind ->
-  ?backend:Executor.backend ->
   ?seed:int ->
   ?rounds:int ->
   ?deadline_ms:float ->
@@ -97,7 +90,6 @@ val make :
   ?stop_after:int ->
   ?classify:bool ->
   ?generation:generation ->
-  ?generator:Generator.config ->
   ?mode:Executor.mode ->
   ?trace_format:Utrace.format ->
   ?boot_insts:int ->
@@ -110,30 +102,17 @@ val make :
   t
 (** Builder with the defaults the stack has always used: 20 rounds, seed 42,
     10 base inputs x 4 boosts, [Opt] executor mode on the [Pooled] engine,
-    L1D+TLB traces, the defense's own contract, classification on.
-    [backend] is accepted as the executor-level spelling of the engine
-    choice ([Pool] -> [Pooled], [Rebuild] -> [Naive]); an explicit [engine]
-    wins when both are given.  [generation] (default [Random]) is the
-    generation strategy; [generator] is its deprecated random-only
-    spelling, and an explicit [generation] wins when both are given. *)
+    L1D+TLB traces, the defense's own contract, classification on,
+    [Random] generation with the default generator config. *)
 
 val with_seed : t -> int -> t
 val with_defense : t -> Defense.t -> t
 
-val with_generation : t -> generation -> t
-(** Replace the generation strategy (keeps the deprecated [generator]
-    alias coherent). *)
-
-val generator_config : t -> Generator.config
-(** Base generator config of the strategy (= the deprecated [generator]
-    field). *)
+val generator_config : t -> Amulet_corpus.Generator.config
+(** Base generator config of the strategy. *)
 
 val corpus_params : t -> Amulet_corpus.Corpus.params option
 (** [Some] iff the spec is [Guided]. *)
-
-val map_generator : (Generator.config -> Generator.config) -> t -> t
-(** Update the strategy's base generator config in place (and the alias
-    with it) — e.g. the defense-driven sandbox-pages override. *)
 
 val contract_name : t -> string
 (** The contract this spec tests — knowable without running anything. *)

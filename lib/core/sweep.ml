@@ -9,6 +9,7 @@
 
 open Amulet_defenses
 module Obs = Amulet_obs.Obs
+module Json = Amulet_obs.Json
 
 type job = { id : int; shard : int; spec : Run_spec.t }
 
@@ -466,67 +467,46 @@ let ident_rows report =
 
 let fingerprint report = Ident.fingerprint (ident_rows report)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json report =
-  let buf = Buffer.create 4096 in
-  let str s = "\"" ^ json_escape s ^ "\"" in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{";
-  add "\"schema\":\"amulet.sweep/1\",";
-  add "\"domains\":%d,\"jobs\":%d,\"crashed\":%d," report.domains report.jobs
-    report.crashed;
-  add "\"wall_s\":%.3f,\"test_cases\":%d," report.wall_s report.test_cases;
-  add "\"fingerprint\":%s," (str (fingerprint report));
-  add "\"rows\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then add ",";
-      add "{\"defense\":%s,\"contract\":%s," (str r.defense.Defense.name)
-        (str r.contract_name);
-      add "\"shards\":%d,\"crashed_shards\":%d," r.shards r.crashed_shards;
-      add "\"rounds\":%d,\"discarded\":%d,\"test_cases\":%d," r.rounds
-        r.discarded r.test_cases;
-      add "\"violations\":%d," (List.length r.violations);
-      add "\"distinct_signatures\":%d,"
-        (Ident.distinct (List.map Ident.of_violation r.violations));
-      add "\"violation_classes\":{";
-      List.iteri
-        (fun j (c, k) ->
-          if j > 0 then add ",";
-          add "%s:%d" (str (Analysis.class_name c)) k)
-        r.violation_classes;
-      add "},\"faults\":{";
-      List.iteri
-        (fun j (c, k) ->
-          if j > 0 then add ",";
-          add "%s:%d" (str (Fault.class_name c)) k)
-        r.fault_counts;
-      add "},\"quarantined\":%d," r.quarantined;
-      add "\"wall_s\":%.3f,\"inputs_per_sec\":%.1f," r.wall_s r.inputs_per_sec;
-      (match r.time_to_first_leak with
-      | Some t -> add "\"time_to_first_leak\":%.4f," t
-      | None -> add "\"time_to_first_leak\":null,");
-      add "\"budget_exhausted\":%b}" r.budget_exhausted)
-    report.rows;
-  add "],";
-  add "\"metrics\":%s" (Obs.Snapshot.to_json report.metrics);
-  add "}";
-  Buffer.contents buf
+  let counts name l =
+    Json.Obj (List.map (fun (c, k) -> (name c, Json.Int k)) l)
+  in
+  let row r =
+    Json.Obj
+      [
+        ("defense", Json.Str r.defense.Defense.name);
+        ("contract", Json.Str r.contract_name);
+        ("shards", Json.Int r.shards);
+        ("crashed_shards", Json.Int r.crashed_shards);
+        ("rounds", Json.Int r.rounds);
+        ("discarded", Json.Int r.discarded);
+        ("test_cases", Json.Int r.test_cases);
+        ("violations", Json.Int (List.length r.violations));
+        ( "distinct_signatures",
+          Json.Int (Ident.distinct (List.map Ident.of_violation r.violations)) );
+        ("violation_classes", counts Analysis.class_name r.violation_classes);
+        ("faults", counts Fault.class_name r.fault_counts);
+        ("quarantined", Json.Int r.quarantined);
+        ("wall_s", Json.Float r.wall_s);
+        ("inputs_per_sec", Json.Float r.inputs_per_sec);
+        ( "time_to_first_leak",
+          Json.option (fun t -> Json.Float t) r.time_to_first_leak );
+        ("budget_exhausted", Json.Bool r.budget_exhausted);
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", Json.Str "amulet.sweep/1");
+         ("domains", Json.Int report.domains);
+         ("jobs", Json.Int report.jobs);
+         ("crashed", Json.Int report.crashed);
+         ("wall_s", Json.Float report.wall_s);
+         ("test_cases", Json.Int report.test_cases);
+         ("fingerprint", Json.Str (fingerprint report));
+         ("rows", Json.List (List.map row report.rows));
+         ("metrics", Obs.Snapshot.json report.metrics);
+       ])
 
 let pp fmt report =
   Format.fprintf fmt

@@ -20,6 +20,7 @@ open Amulet_contracts
 open Amulet_defenses
 open Amulet_uarch
 module Obs = Amulet_obs.Obs
+module Json = Amulet_obs.Json
 
 type status = Reproduced | Not_reproduced
 
@@ -602,105 +603,82 @@ let run ?l1d_ways ?mshrs ?sim_config ?(bisect = true) ?(shrink = false)
 (* JSON (amulet.triage/1)                                              *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let mechanism_json = function
+  | None -> Json.Null
+  | Some m ->
+      Json.Obj
+        [
+          ("name", Json.Str m.mech_name);
+          ("kind", Json.Str (mechanism_kind_name m.mech_kind));
+          ("description", Json.Str m.mech_description);
+          ("flips_tried", Json.Int m.flips_tried);
+        ]
 
-let mechanism_json m =
-  Printf.sprintf
-    "{\"name\":\"%s\",\"kind\":\"%s\",\"description\":\"%s\",\"flips_tried\":%d}"
-    (json_escape m.mech_name)
-    (mechanism_kind_name m.mech_kind)
-    (json_escape m.mech_description)
-    m.flips_tried
+let finding_json (f : finding) =
+  let hash h = Json.Str (Printf.sprintf "0x%Lx" h) in
+  Json.Obj
+    [
+      ("defense", Json.Str f.defense_name);
+      ("contract", Json.Str f.contract_name);
+      ("status", Json.Str (status_name f.status));
+      ("signature", Json.Str f.signature);
+      ( "leak_class",
+        Json.option (fun c -> Json.Str (Analysis.class_name c)) f.leak_class );
+      ( "contract_traces",
+        Json.Obj
+          [
+            ("length_a", Json.Int f.ctrace.length_a);
+            ("length_b", Json.Int f.ctrace.length_b);
+            ("hash_a", hash f.ctrace.hash_a);
+            ("hash_b", hash f.ctrace.hash_b);
+            ("equal", Json.Bool f.ctrace.equal);
+            ( "first_divergence",
+              Json.option
+                (fun (i, a, b) ->
+                  Json.Obj
+                    [ ("index", Json.Int i); ("a", Json.Str a); ("b", Json.Str b) ])
+                f.ctrace.first_divergence );
+          ] );
+      ("utrace_diff", Json.List (List.map (fun l -> Json.Str l) f.utrace_diff));
+      ("mechanism", mechanism_json f.mechanism);
+      ( "minimized",
+        Json.option
+          (fun r ->
+            Json.Obj
+              [
+                ("removed", Json.Int r.Minimize.removed);
+                ("kept", Json.Int r.Minimize.kept);
+              ])
+          f.minimized );
+      ("counters_a", Obs.Snapshot.json f.counters_a);
+      ("counters_b", Obs.Snapshot.json f.counters_b);
+      ("counter_delta", Obs.Snapshot.json f.counter_delta);
+      ("program", Json.Str f.program_text);
+    ]
 
-let finding_to_json (f : finding) =
-  let buf = Buffer.create 1024 in
-  let str s = "\"" ^ json_escape s ^ "\"" in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{";
-  add "\"defense\":%s," (str f.defense_name);
-  add "\"contract\":%s," (str f.contract_name);
-  add "\"status\":%s," (str (status_name f.status));
-  add "\"signature\":%s," (str f.signature);
-  add "\"leak_class\":%s,"
-    (match f.leak_class with
-    | Some c -> str (Analysis.class_name c)
-    | None -> "null");
-  add
-    "\"contract_traces\":{\"length_a\":%d,\"length_b\":%d,\"hash_a\":%s,\"hash_b\":%s,\"equal\":%b,\"first_divergence\":%s},"
-    f.ctrace.length_a f.ctrace.length_b
-    (str (Printf.sprintf "0x%Lx" f.ctrace.hash_a))
-    (str (Printf.sprintf "0x%Lx" f.ctrace.hash_b))
-    f.ctrace.equal
-    (match f.ctrace.first_divergence with
-    | None -> "null"
-    | Some (i, a, b) ->
-        Printf.sprintf "{\"index\":%d,\"a\":%s,\"b\":%s}" i (str a) (str b));
-  add "\"utrace_diff\":[";
-  List.iteri
-    (fun i l ->
-      if i > 0 then add ",";
-      add "%s" (str l))
-    f.utrace_diff;
-  add "],";
-  add "\"mechanism\":%s,"
-    (match f.mechanism with Some m -> mechanism_json m | None -> "null");
-  add "\"minimized\":%s,"
-    (match f.minimized with
-    | Some r ->
-        Printf.sprintf "{\"removed\":%d,\"kept\":%d}" r.Minimize.removed
-          r.Minimize.kept
-    | None -> "null");
-  add "\"counters_a\":%s," (Obs.Snapshot.to_json f.counters_a);
-  add "\"counters_b\":%s," (Obs.Snapshot.to_json f.counters_b);
-  add "\"counter_delta\":%s," (Obs.Snapshot.to_json f.counter_delta);
-  add "\"program\":%s" (str f.program_text);
-  add "}";
-  Buffer.contents buf
+let finding_to_json f = Json.to_string (finding_json f)
 
 let report_to_json (r : report) =
-  let buf = Buffer.create 4096 in
-  let str s = "\"" ^ json_escape s ^ "\"" in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{";
-  add "\"schema\":\"amulet.triage/1\",";
-  add "\"total\":%d,\"not_reproduced\":%d,\"distinct_clusters\":%d," r.total
-    r.not_reproduced
-    (List.length r.clusters);
-  add "\"clusters\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then add ",";
-      add "{\"rank\":%d,\"signature\":%s,\"count\":%d," c.rank
-        (str c.cluster_signature) c.count;
-      add "\"mechanism\":%s,"
-        (match c.representative.mechanism with
-        | Some m -> mechanism_json m
-        | None -> "null");
-      add "\"members\":[";
-      List.iteri
-        (fun j m ->
-          if j > 0 then add ",";
-          add "%s" (str m))
-        c.members;
-      add "],";
-      add "\"finding\":%s}" (finding_to_json c.representative))
-    r.clusters;
-  add "]}";
-  Buffer.contents buf
+  let cluster c =
+    Json.Obj
+      [
+        ("rank", Json.Int c.rank);
+        ("signature", Json.Str c.cluster_signature);
+        ("count", Json.Int c.count);
+        ("mechanism", mechanism_json c.representative.mechanism);
+        ("members", Json.List (List.map (fun m -> Json.Str m) c.members));
+        ("finding", finding_json c.representative);
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", Json.Str "amulet.triage/1");
+         ("total", Json.Int r.total);
+         ("not_reproduced", Json.Int r.not_reproduced);
+         ("distinct_clusters", Json.Int (List.length r.clusters));
+         ("clusters", Json.List (List.map cluster r.clusters));
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Pretty printing                                                     *)

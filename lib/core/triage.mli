@@ -4,9 +4,7 @@
     a ranked report of distinct root causes, one reproducer each.
 
     This is the one entry point for everything downstream of detection:
-    {!finding} subsumes the former [Forensics.report] and
-    [Violation_io.reanalysis] shapes, [amulet explain] is a one-element
-    view of the same schema, and PoC emission writes standalone files that
+    [amulet explain] is a one-element view of the same schema, and PoC emission writes standalone files that
     [amulet reproduce] replays.
 
     Clustering keys on the {e divergence signature}: the defense under

@@ -296,62 +296,3 @@ let rehydrate ?sim_config (s : stored) : Violation.t =
     detection_seconds = 0.;
     signature = s.signature;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Re-analysis of a loaded violation                                   *)
-(* ------------------------------------------------------------------ *)
-
-type reanalysis = {
-  reproduced : bool;
-  leak_class : Analysis.leak_class option;
-  minimization : Minimize.result option;
-}
-
-(** Re-validate a stored violation under fresh contexts, classify it, and
-    optionally minimize it. *)
-let reanalyze ?(minimize = false) ?sim_config (s : stored) : reanalysis =
-  let defense =
-    Option.value (Amulet_defenses.Defense.find s.defense_name)
-      ~default:Amulet_defenses.Defense.baseline
-  in
-  let contract =
-    Option.value
-      (Amulet_contracts.Contract.find s.contract_name)
-      ~default:defense.Amulet_defenses.Defense.contract
-  in
-  if
-    not
-      (Minimize.still_violates ~defense ~contract ~sim_config s.program s.input_a
-         s.input_b)
-  then { reproduced = false; leak_class = None; minimization = None }
-  else begin
-    (* rebuild a Violation.t for the classifier *)
-    let ex =
-      Executor.create ~boot_insts:200 ?sim_config ~mode:Executor.Opt defense
-        (Stats.create ())
-    in
-    Executor.start_program ex;
-    let oa = Executor.run ex s.program s.input_a in
-    let ob = Executor.run ex s.program s.input_b in
-    let v =
-      {
-        Violation.program = s.program;
-        program_text = Format.asprintf "%a" Program.pp_flat s.program;
-        input_a = s.input_a;
-        input_b = s.input_b;
-        trace_a = oa.Executor.trace;
-        trace_b = ob.Executor.trace;
-        context = oa.Executor.context;
-        ctrace_hash = 0L;
-        trace_a_hash = Utrace.hash oa.Executor.trace;
-        trace_b_hash = Utrace.hash ob.Executor.trace;
-        contract;
-        defense_name = s.defense_name;
-        detection_seconds = 0.;
-        signature = None;
-      }
-    in
-    let leak_class = Analysis.classify_violation ex v in
-    let minimization = if minimize then Some (Minimize.minimize ?sim_config v) else None in
-    { reproduced = true; leak_class = Some leak_class; minimization }
-  end

@@ -53,23 +53,3 @@ val rehydrate : ?sim_config:Amulet_uarch.Config.t -> stored -> Violation.t
     a journaled campaign; traces and context are re-derived for analysis,
     while the identity hashes are restored from [identity] so resumed
     campaigns fingerprint identically to uninterrupted ones). *)
-
-type reanalysis = {
-  reproduced : bool;
-  leak_class : Analysis.leak_class option;
-  minimization : Minimize.result option;
-}
-[@@ocaml.deprecated
-  "Use Triage.finding: Triage.explain / Triage.bisect / Triage.shrink."]
-
-[@@@alert "-deprecated"]  (* the val below mentions its deprecated result *)
-
-(** Revalidate under fresh contexts, classify, and optionally minimize.
-    Deprecated: {!Triage} is the one analysis surface; this bespoke result
-    shape survives one release for source compatibility. *)
-val reanalyze :
-  ?minimize:bool -> ?sim_config:Amulet_uarch.Config.t -> stored -> reanalysis
-[@@ocaml.deprecated
-  "Use Triage.explain (and Triage.shrink for minimization)."]
-
-[@@@alert "+deprecated"]

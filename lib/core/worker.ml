@@ -24,6 +24,7 @@
     the invariant the service tests pin. *)
 
 module Obs = Amulet_obs.Obs
+module Rng = Amulet_corpus.Rng
 
 type outcome =
   | Finished  (** coordinator sent [Shutdown]: clean end of the matrix *)

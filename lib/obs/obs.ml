@@ -292,71 +292,36 @@ module Snapshot = struct
       !result
     end
 
-  (* ---------------------------------------------------------------- *)
-  (* JSON export (hand-rolled: no external dependency)                 *)
-  (* ---------------------------------------------------------------- *)
+  let json t =
+    let entries f l = Json.Obj (List.map (fun (name, v) -> (name, f v)) l) in
+    Json.Obj
+      [
+        ("counters", entries (fun v -> Json.Int v) t.counters);
+        ("gauges", entries (fun v -> Json.Float v) t.gauges);
+        ( "timers",
+          entries
+            (fun (v : timer_v) ->
+              Json.Obj
+                [ ("events", Json.Int v.events); ("total_s", Json.Float v.total_s) ])
+            t.timers );
+        ( "histograms",
+          entries
+            (fun (h : histogram_v) ->
+              Json.Obj
+                [
+                  ("observations", Json.Int h.observations);
+                  ("sum_s", Json.Float h.sum_s);
+                  ("p50_s", Json.Float (percentile h 50.));
+                  ("p90_s", Json.Float (percentile h 90.));
+                  ("p99_s", Json.Float (percentile h 99.));
+                  ( "buckets",
+                    Json.List
+                      (Array.to_list (Array.map (fun c -> Json.Int c) h.buckets)) );
+                ])
+            t.histograms );
+      ]
 
-  let json_escape s =
-    let buf = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let json_float f =
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.1f" f
-    else Printf.sprintf "%.9g" f
-
-  let to_json t =
-    let buf = Buffer.create 4096 in
-    let obj name body =
-      Buffer.add_string buf (Printf.sprintf "\"%s\":{" name);
-      body ();
-      Buffer.add_string buf "}"
-    in
-    let entries l emit =
-      List.iteri
-        (fun i (name, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "\"%s\":" (json_escape name));
-          emit v)
-        l
-    in
-    Buffer.add_char buf '{';
-    obj "counters" (fun () ->
-        entries t.counters (fun v -> Buffer.add_string buf (string_of_int v)));
-    Buffer.add_char buf ',';
-    obj "gauges" (fun () ->
-        entries t.gauges (fun v -> Buffer.add_string buf (json_float v)));
-    Buffer.add_char buf ',';
-    obj "timers" (fun () ->
-        entries t.timers (fun (v : timer_v) ->
-            Buffer.add_string buf
-              (Printf.sprintf "{\"events\":%d,\"total_s\":%s}" v.events
-                 (json_float v.total_s))));
-    Buffer.add_char buf ',';
-    obj "histograms" (fun () ->
-        entries t.histograms (fun (h : histogram_v) ->
-            Buffer.add_string buf
-              (Printf.sprintf
-                 "{\"observations\":%d,\"sum_s\":%s,\"p50_s\":%s,\"p90_s\":%s,\"p99_s\":%s,\"buckets\":[%s]}"
-                 h.observations (json_float h.sum_s)
-                 (json_float (percentile h 50.))
-                 (json_float (percentile h 90.))
-                 (json_float (percentile h 99.))
-                 (String.concat ","
-                    (Array.to_list (Array.map string_of_int h.buckets))))));
-    Buffer.add_char buf '}';
-    Buffer.contents buf
+  let to_json t = Json.to_string (json t)
 
   let pp fmt t =
     let any = ref false in

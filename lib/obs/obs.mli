@@ -151,10 +151,13 @@ module Snapshot : sig
   val bucket_bound : int -> float
   (** Upper bound in seconds of log bucket [i]. *)
 
-  val to_json : t -> string
-  (** Serialize as a JSON object (hand-rolled; no external dependency).
+  val json : t -> Json.t
+  (** The snapshot as a JSON object, for embedding in larger documents.
       Histograms are exported with derived p50/p90/p99 alongside raw
       buckets. *)
+
+  val to_json : t -> string
+  (** [Json.to_string (json s)]. *)
 
   val pp : Format.formatter -> t -> unit
   (** Human-readable dump: one metric per line, zero-valued metrics

@@ -5,6 +5,8 @@
 open Amulet_isa
 open Amulet_emu
 open Amulet_contracts
+module Rng = Amulet_corpus.Rng
+module Generator = Amulet_corpus.Generator
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int

@@ -4,6 +4,8 @@
 open Amulet
 open Amulet_isa
 open Amulet_defenses
+module Rng = Amulet_corpus.Rng
+module Generator = Amulet_corpus.Generator
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int

@@ -13,6 +13,8 @@ open Amulet_defenses
 module C = Amulet_corpus.Corpus
 module Cov = Amulet_corpus.Coverage
 module Mut = Amulet_corpus.Mutate
+module Rng = Amulet_corpus.Rng
+module Generator = Amulet_corpus.Generator
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int

@@ -6,14 +6,15 @@
 open Amulet
 open Amulet_isa
 open Amulet_defenses
+module Generator = Amulet_corpus.Generator
 
 let checkb = Alcotest.check Alcotest.bool
 
-let campaign ?(n_programs = 25) ?(stop = Some 1) ?sim_config ?generator ?(seed = 11)
+let campaign ?(n_programs = 25) ?(stop = Some 1) ?sim_config ?generation ?(seed = 11)
     defense =
   Campaign.run
     (Run_spec.make ~defense ~rounds:n_programs ?stop_after:stop ~seed ~inputs:6
-       ~boosts:4 ~boot_insts:500 ?sim_config ?generator ())
+       ~boosts:4 ~boot_insts:500 ?sim_config ?generation ())
 
 let has_class c r =
   List.exists (fun (c', _) -> c = c') r.Campaign.violation_classes
@@ -54,8 +55,12 @@ let test_cleanupspec_uv3 () =
   checkb "UV3 among findings" true (has_class Analysis.Store_not_cleaned_uv3 r)
 
 let test_cleanupspec_uv4_with_unaligned () =
-  let generator = { Generator.default with Generator.unaligned_fraction = 0.6 } in
-  let r = campaign ~n_programs:60 ~stop:(Some 8) ~generator Defense.cleanupspec in
+  let config = { Generator.default with Generator.unaligned_fraction = 0.6 } in
+  let r =
+    campaign ~n_programs:60 ~stop:(Some 8)
+      ~generation:(Run_spec.random ~config ())
+      Defense.cleanupspec
+  in
   checkb "UV4 found with line-crossing accesses" true
     (has_class Analysis.Split_not_cleaned_uv4 r)
 

@@ -11,6 +11,7 @@
 open Amulet
 open Amulet_defenses
 module Obs = Amulet_obs.Obs
+module Rng = Amulet_corpus.Rng
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int

@@ -319,13 +319,13 @@ let asm_roundtrip_prop =
   QCheck2.Test.make ~name:"asm print/parse roundtrip (generated programs)" ~count:500
     QCheck2.Gen.(int_bound 100000)
     (fun seed ->
-      let rng = Amulet.Rng.create ~seed in
+      let rng = Amulet_corpus.Rng.create ~seed in
       let cfg =
         if seed mod 2 = 1 then
-          { Amulet.Generator.default with Amulet.Generator.fence_fraction = 0.1 }
-        else Amulet.Generator.default
+          { Amulet_corpus.Generator.default with Amulet_corpus.Generator.fence_fraction = 0.1 }
+        else Amulet_corpus.Generator.default
       in
-      let p = Amulet.Generator.generate ~cfg rng in
+      let p = Amulet_corpus.Generator.generate ~cfg rng in
       let text = Asm.print p in
       let p' = Asm.parse text in
       Program.flatten p = Program.flatten p')

@@ -1,8 +1,10 @@
 (* Unit tests for the telemetry registry: hot-path semantics, the noop
    registry, the monotonic-safe clock, and snapshot algebra
-   (diff/merge/filter), including the JSON export. *)
+   (diff/merge/filter), including the JSON export, and golden outputs of
+   the shared JSON writer. *)
 
 module Obs = Amulet_obs.Obs
+module Json = Amulet_obs.Json
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -113,6 +115,52 @@ let test_snapshot_filter_json () =
   checkb "json is an object" true
     (String.length json > 1 && json.[0] = '{' && json.[String.length json - 1] = '}')
 
+(* ------------------------------------------------------------------ *)
+(* JSON writer                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let check_json name expected j =
+  Alcotest.check Alcotest.string name expected (Json.to_string j)
+
+let test_json_escaping () =
+  check_json "quote" {|"\""|} (Json.Str "\"");
+  check_json "backslash" {|"\\"|} (Json.Str "\\");
+  check_json "newline" {|"\n"|} (Json.Str "\n");
+  check_json "carriage return" {|"\r"|} (Json.Str "\r");
+  check_json "tab" {|"\t"|} (Json.Str "\t");
+  check_json "control byte" {|"\u0001"|} (Json.Str "\001");
+  check_json "mixed" {|"a\"b\\c\nd\u001fe"|} (Json.Str "a\"b\\c\nd\031e");
+  check_json "escaped key" {|{"k\"\n":1}|} (Json.Obj [ ("k\"\n", Json.Int 1) ])
+
+let test_json_floats () =
+  check_json "integral" "3.0" (Json.Float 3.);
+  check_json "negative integral" "-3.0" (Json.Float (-3.));
+  check_json "zero" "0.0" (Json.Float 0.);
+  check_json "fraction" "0.1" (Json.Float 0.1);
+  check_json "nine significant digits" "0.123456789"
+    (Json.Float 0.1234567890123);
+  check_json "largest fixed-point integral" "999999999999999.0"
+    (Json.Float 999999999999999.);
+  check_json "1e15 switches to %g" "1e+15" (Json.Float 1e15);
+  check_json "beyond 1e15" "1.5e+15" (Json.Float 1.5e15)
+
+let test_json_structure () =
+  check_json "empty object" "{}" (Json.Obj []);
+  check_json "empty list" "[]" (Json.List []);
+  check_json "scalars" {|[null,true,false,-7,"s"]|}
+    (Json.List
+       [ Json.Null; Json.Bool true; Json.Bool false; Json.Int (-7); Json.Str "s" ]);
+  check_json "nested, key order preserved"
+    {|{"z":{"b":1,"a":[{},[]]},"a":null,"m":{"y":2.5,"x":"v"}}|}
+    (Json.Obj
+       [
+         ("z", Json.Obj [ ("b", Json.Int 1); ("a", Json.List [ Json.Obj []; Json.List [] ]) ]);
+         ("a", Json.Null);
+         ("m", Json.Obj [ ("y", Json.Float 2.5); ("x", Json.Str "v") ]);
+       ]);
+  check_json "option" {|[null,4]|}
+    (Json.List [ Json.option (fun i -> Json.Int i) None; Json.option (fun i -> Json.Int i) (Some 4) ])
+
 let () =
   Alcotest.run "obs"
     [
@@ -130,5 +178,11 @@ let () =
           Alcotest.test_case "diff" `Quick test_snapshot_diff;
           Alcotest.test_case "merge" `Quick test_snapshot_merge;
           Alcotest.test_case "filter + json" `Quick test_snapshot_filter_json;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "escaping" `Quick test_json_escaping;
+          Alcotest.test_case "floats" `Quick test_json_floats;
+          Alcotest.test_case "structure" `Quick test_json_structure;
         ] );
     ]

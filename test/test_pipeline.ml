@@ -6,6 +6,8 @@ open Amulet_isa
 open Amulet_emu
 open Amulet_uarch
 open Amulet_defenses
+module Rng = Amulet_corpus.Rng
+module Generator = Amulet_corpus.Generator
 
 let checkb = Alcotest.check Alcotest.bool
 let check64 = Alcotest.check Alcotest.int64
@@ -243,7 +245,7 @@ let test_direct_prime_matches_fill_program () =
         (fun (label, cfg) ->
           let pages = d.Defense.sandbox_pages in
           let sim = Simulator.create ~boot_insts:0 ~pages cfg in
-          let rng = Amulet.Rng.create ~seed:41 in
+          let rng = Rng.create ~seed:41 in
           for round = 1 to 4 do
             let what = Printf.sprintf "%s %s round %d" d.Defense.name label round in
             let ctx = Simulator.snapshot_context sim in
@@ -257,7 +259,7 @@ let test_direct_prime_matches_fill_program () =
               direct.Simulator.cycles;
             checkb (what ^ ": identical primed state") true
               (primed_state sim = expected);
-            let flat = Amulet.Generator.generate_flat rng in
+            let flat = Generator.generate_flat rng in
             Simulator.load_state sim
               (Amulet.Input.to_state (Amulet.Input.generate rng ~pages));
             ignore (Simulator.run sim flat)

@@ -6,6 +6,7 @@
 
 open Amulet
 open Amulet_defenses
+module Generator = Amulet_corpus.Generator
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int

@@ -388,10 +388,10 @@ let generator_lint_prop =
     ~count:1000
     QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
-      let rng = Amulet.Rng.create ~seed in
-      let flat = Amulet.Generator.generate_flat rng in
+      let rng = Amulet_corpus.Rng.create ~seed in
+      let flat = Amulet_corpus.Generator.generate_flat rng in
       let report =
-        Lint.check ~sandbox_bytes:(Amulet.Generator.default.Amulet.Generator.sandbox_pages * 4096) flat
+        Lint.check ~sandbox_bytes:(Amulet_corpus.Generator.default.Amulet_corpus.Generator.sandbox_pages * 4096) flat
       in
       if not (Lint.ok report) then
         QCheck2.Test.fail_reportf "seed %d:@.%a@.%a" seed Program.pp_flat flat
@@ -399,9 +399,9 @@ let generator_lint_prop =
       else true)
 
 let test_generate_lint_free () =
-  let rng = Amulet.Rng.create ~seed:7 in
+  let rng = Amulet_corpus.Rng.create ~seed:7 in
   for _ = 1 to 20 do
-    let flat = Amulet.Generator.generate_lint_free rng in
+    let flat = Amulet_corpus.Generator.generate_lint_free rng in
     checki "lint-free" 0 (Lint.check flat).Lint.errors
   done
 
@@ -425,8 +425,8 @@ let test_screen_equivalence () =
      is a no-op by design, not a bug.) *)
   let gen =
     {
-      Amulet.Generator.default with
-      Amulet.Generator.blocks = 3;
+      Amulet_corpus.Generator.default with
+      Amulet_corpus.Generator.blocks = 3;
       fence_fraction = 0.25;
       mem_fraction = 0.25;
     }
@@ -434,7 +434,7 @@ let test_screen_equivalence () =
   let spec filter =
     Amulet.Run_spec.make ~defense:Amulet_defenses.Defense.baseline ~rounds:50
       ~seed:2024 ~classify:false ~inputs:8 ~boosts:4 ~boot_insts:200
-      ~generator:gen ~static_filter:filter ()
+      ~generation:(Amulet.Run_spec.random ~config:gen ()) ~static_filter:filter ()
   in
   let m_off = Obs.create () and m_screen = Obs.create () in
   let off = Amulet.Campaign.run ~metrics:m_off (spec Amulet.Run_spec.Off) in

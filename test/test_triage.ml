@@ -7,6 +7,7 @@
 open Amulet
 open Amulet_isa
 open Amulet_defenses
+module Rng = Amulet_corpus.Rng
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
