@@ -413,19 +413,19 @@ let show_reproducer ?(side_by_side = false) title (r : Reproducers.t) =
           | _ -> None
         in
         let ex =
-          Executor.create ~boot_insts:500 ?sim_config ~mode:Executor.Opt
+          Engine.create ~boot_insts:500 ?sim_config ~mode:Executor.Opt
             r.Reproducers.defense (Stats.create ())
         in
-        Executor.start_program ex;
+        Engine.start_program ex;
         let ea =
-          (Executor.run ex ~context:v.Violation.context ~log:true
+          (Engine.run ex ~context:v.Violation.context ~log:true
              v.Violation.program v.Violation.input_a)
-            .Executor.events
+            .Engine.events
         in
         let eb =
-          (Executor.run ex ~context:v.Violation.context ~log:true
+          (Engine.run ex ~context:v.Violation.context ~log:true
              v.Violation.program v.Violation.input_b)
-            .Executor.events
+            .Engine.events
         in
         Format.printf "--- operation sequences, side by side ---@.%a@."
           (fun f () -> Analysis.pp_side_by_side f ea eb)
@@ -684,7 +684,7 @@ let throughput () =
       Array.map
         (fun (flat, inputs) ->
           Array.map
-            (Option.map (fun (o : Executor.outcome) -> o.Executor.trace))
+            (Option.map (fun (o : Engine.outcome) -> o.Engine.trace))
             (Engine.run_batch eng flat inputs).Engine.outcomes)
         cases
     in

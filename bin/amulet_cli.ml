@@ -1069,19 +1069,19 @@ let run_cmd =
     let rng = Rng.create ~seed in
     let input = Input.generate rng ~pages:defense.Defense.sandbox_pages in
     let stats = Stats.create () in
-    let ex = Executor.create ~boot_insts:1000 ~mode:Executor.Opt defense stats in
-    Executor.start_program ex;
+    let ex = Engine.create ~boot_insts:1000 ~mode:Executor.Opt defense stats in
+    Engine.start_program ex;
     let outcome =
-      let o = Executor.run ex flat input in
-      Executor.run ex ~context:o.Executor.context ~log:true flat input
+      let o = Engine.run ex flat input in
+      Engine.run ex ~context:o.Engine.context ~log:true flat input
     in
-    let events = outcome.Executor.events in
+    let events = outcome.Engine.events in
     Format.printf "--- input ---@.%a@." Input.pp input;
-    Format.printf "--- run: %d cycles%s ---@." outcome.Executor.cycles
-      (match outcome.Executor.run_fault with
+    Format.printf "--- run: %d cycles%s ---@." outcome.Engine.cycles
+      (match outcome.Engine.run_fault with
       | None -> ""
       | Some f -> " FAULT: " ^ Fault.to_string f);
-    Format.printf "--- uarch trace: %a@." Utrace.pp outcome.Executor.trace;
+    Format.printf "--- uarch trace: %a@." Utrace.pp outcome.Engine.trace;
     Format.printf "--- debug log (%d events) ---@." (List.length events);
     List.iter (fun e -> Format.printf "%a@." Amulet_uarch.Event.pp e) events;
     Output.exit_clean

@@ -24,18 +24,18 @@ let () =
       Format.printf "%a@." Violation.pp v;
       (* Step 1: re-run both inputs with the debug log enabled. *)
       let ex =
-        Executor.create ~boot_insts:1000 ~mode:Executor.Opt defense (Stats.create ())
+        Engine.create ~boot_insts:1000 ~mode:Executor.Opt defense (Stats.create ())
       in
-      Executor.start_program ex;
+      Engine.start_program ex;
       let events_a =
-        (Executor.run ex ~context:v.Violation.context ~log:true
+        (Engine.run ex ~context:v.Violation.context ~log:true
            v.Violation.program v.Violation.input_a)
-          .Executor.events
+          .Engine.events
       in
       let events_b =
-        (Executor.run ex ~context:v.Violation.context ~log:true
+        (Engine.run ex ~context:v.Violation.context ~log:true
            v.Violation.program v.Violation.input_b)
-          .Executor.events
+          .Engine.events
       in
       (* Step 2: side-by-side comparison of memory operations (the layout of
          the paper's Tables 9 and 10; differing rows are starred). *)

@@ -183,26 +183,30 @@ let classify ~(defense : Amulet_defenses.Defense.t) (events_a : Event.t list)
     else Spectre_v1_evict
   else Unknown
 
-(** Classify by re-running the violating pair with logging enabled.  Pure:
-    callers that want the signature recorded build a new value with
-    {!Violation.with_signature}. *)
-let classify_violation (executor : Executor.t) (v : Violation.t) : leak_class =
-  let events_a =
-    (Executor.run executor ~context:v.Violation.context ~log:true
-       v.Violation.program v.Violation.input_a)
-      .Executor.events
-  in
-  let events_b =
-    (Executor.run executor ~context:v.Violation.context ~log:true
-       v.Violation.program v.Violation.input_b)
-      .Executor.events
-  in
+(** Classify a finding by re-running its pair with logging enabled on a
+    fresh [Opt] engine under the violation's defense, and return the class
+    with the signed copy.  Classification is pure, so this is the one
+    place a signature is attached. *)
+let sign ?boot_insts ?sim_config ?format (v : Violation.t) =
   let defense =
-    match Amulet_defenses.Defense.find v.Violation.defense_name with
-    | Some d -> d
-    | None -> Amulet_defenses.Defense.baseline
+    Option.value
+      (Amulet_defenses.Defense.find v.Violation.defense_name)
+      ~default:Amulet_defenses.Defense.baseline
   in
-  classify ~defense events_a events_b
+  let engine =
+    Engine.create ?boot_insts ?sim_config ?format ~mode:Executor.Opt defense
+      (Stats.create ())
+  in
+  Engine.start_program engine;
+  let events input =
+    (Engine.run engine ~context:v.Violation.context ~log:true
+       v.Violation.program input)
+      .Engine.events
+  in
+  let events_a = events v.Violation.input_a in
+  let events_b = events v.Violation.input_b in
+  let c = classify ~defense events_a events_b in
+  (c, Violation.with_signature (class_name c) v)
 
 (* ------------------------------------------------------------------ *)
 (* Side-by-side diff (the paper's root-cause script)                   *)

@@ -27,10 +27,16 @@ val classify :
 (** Classify a violation from the event logs of its two runs; most-specific
     defense-bug signatures win over the generic Spectre classes. *)
 
-val classify_violation : Executor.t -> Violation.t -> leak_class
-(** Re-run the violating pair with logging enabled and classify.  Pure —
-    the violation is not modified; attach the signature with
-    {!Violation.with_signature} if it should be recorded. *)
+val sign :
+  ?boot_insts:int ->
+  ?sim_config:Config.t ->
+  ?format:Utrace.format ->
+  Violation.t ->
+  leak_class * Violation.t
+(** Re-run the violating pair with logging enabled on a fresh [Opt] engine
+    under the violation's defense, classify it, and return the class with
+    a copy signed by its class name (see {!Violation.with_signature}).
+    [format] must match the campaign's trace format. *)
 
 val pp_side_by_side : Format.formatter -> Event.t list -> Event.t list -> unit
 (** The paper's Tables 9/10 layout: memory operations of the two runs side

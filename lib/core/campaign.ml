@@ -49,16 +49,9 @@ let count_classes classes =
    cycles: resumability depends only on (seed, i). *)
 let round_seed seed i = seed + ((i + 1) * 2654435761)
 
-(* Classify and return the signed copy of the violation: classification is
-   pure, so detection time is the one place a signature is attached. *)
 let classify_one (spec : Run_spec.t) v =
-  let executor =
-    Executor.create ~mode:Executor.Opt ?sim_config:spec.Run_spec.sim_config
-      ~format:spec.Run_spec.trace_format spec.Run_spec.defense (Stats.create ())
-  in
-  Executor.start_program executor;
-  let c = Analysis.classify_violation executor v in
-  (c, Violation.with_signature (Analysis.class_name c) v)
+  Analysis.sign ?sim_config:spec.Run_spec.sim_config
+    ~format:spec.Run_spec.trace_format v
 
 (** Run a campaign of [spec.rounds] fuzzing rounds against [spec.defense].
     [on_violation] fires as findings come in (progress reporting).

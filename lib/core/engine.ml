@@ -1,180 +1,297 @@
-(** The execution-engine abstraction: a uniform create / warm / run /
-    run_batch / stats surface over the executor, so the fuzzer (and any
-    future sharded or multi-process backend) depends on a signature rather
-    than a concrete executor wiring.
+(** The execution engine (see engine.mli).  [Pooled] is byte-identical to
+    [Naive] because the post-boot checkpoint captures exactly what a fresh
+    boot produces. *)
 
-    Two implementations ship today, both thin wrappers over {!Executor}
-    differing only in backend:
-    - {b naive} rebuilds the simulator whenever pristine state is needed
-      (the paper's baseline cost model);
-    - {b pooled} boots one simulator per engine, checkpoints the post-boot
-      state and rewinds per test case — the warm-state reuse behind the
-      paper's 10–100× executor speedup.  Trace-for-trace identical to
-      naive by construction. *)
-
-open Amulet_isa
 open Amulet_uarch
 open Amulet_defenses
+open Amulet_obs
 
 type kind = Naive | Pooled
 
 let kind_name = function Naive -> "naive" | Pooled -> "pooled"
 
-type stats = {
-  engine : string;
-  sims_created : int;  (** full simulator builds (warm boots) paid *)
-  snapshot_restores : int;  (** checkpoint rewinds performed instead *)
-  batches : int;
-  inputs_run : int;  (** inputs executed through {!run_batch} *)
-  programs_decoded : int;
-      (** pre-decode cache fills; with amortization working this tracks
-          distinct programs, not [inputs_run] *)
+type outcome = {
+  trace : Utrace.t;
+  context : Simulator.context;  (** predictor state before the run *)
+  run_fault : Fault.t option;
+  cycles : int;
+  sim_stats : Simulator.run_stats;
+      (** per-run pipeline totals (squashes, speculative issues,
+          mispredicts): deterministic feedback for guided generation *)
+  events : Event.t list;  (** debug log of the run; [[]] unless [?log] *)
 }
 
-(** Result of one batched pass: per-input outcomes in input order.  A
-    simulator fault stops the batch — later slots stay [None] — and is
-    reported with the offending input. *)
 type batch = {
-  outcomes : Executor.outcome option array;
+  outcomes : outcome option array;
   batch_fault : (Fault.t * Input.t) option;
 }
 
-module type S = sig
-  type t
+type stats = {
+  sims_created : int;
+  snapshot_restores : int;
+  batches : int;
+  inputs_run : int;
+  programs_decoded : int;
+}
 
-  val name : string
+type t = {
+  defense : Defense.t;
+  sim_config : Config.t;
+  mode : Executor.mode;
+  kind : kind;
+  format : Utrace.format;
+  stats : Stats.t;
+  boot_insts : int;
+  chaos : Fault.chaos option;
+  mutable sim : Simulator.t option;
+  mutable boot_snapshot : Simulator.snapshot option;
+  mutable sims_created : int;
+  mutable restores : int;
+  mutable decode_base : int;
+      (* decodes performed by simulators already discarded, so the decode
+         count stays monotonic across [Naive] rebuilds *)
+  mutable batches : int;
+  mutable inputs_run : int;
+  (* engine metrics, resolved once against the stats registry *)
+  m_rebuilds : Obs.counter;
+  m_restores : Obs.counter;
+  m_rebuild_time : Obs.timer;
+  m_restore_time : Obs.timer;
+  m_prime_time : Obs.timer;
+  m_reuse_depth : Obs.gauge;
+      (* inputs served by the current pooled boot state *)
+  m_batches : Obs.counter;
+  m_inputs : Obs.counter;
+  m_batch_latency : Obs.histogram;
+}
 
-  val create :
-    ?boot_insts:int ->
-    ?format:Utrace.format ->
-    ?sim_config:Config.t ->
-    ?chaos:Fault.injector ->
-    mode:Executor.mode ->
-    Defense.t ->
-    Stats.t ->
-    t
-
-  val warm : t -> unit
-  (** Pay any one-time startup cost now rather than on the first test case. *)
-
-  val run :
-    t -> ?context:Simulator.context -> ?log:bool -> Program.flat -> Input.t ->
-    Executor.outcome
-  (** Single test case; see {!Executor.run}. *)
-
-  val run_batch : t -> ?check:(unit -> unit) -> Program.flat -> Input.t array -> batch
-  (** Execute all inputs of one test program against a warm simulator in a
-      single pass.  [check] runs before each input (deadline hook); whatever
-      it raises propagates. *)
-
-  val stats : t -> stats
-end
-
-module Make (B : sig
-  val backend : Executor.backend
-  val name : string
-end) : S = struct
-  open Amulet_obs
-
-  type t = {
-    ex : Executor.t;
-    mutable batches : int;
-    mutable inputs_run : int;
-    m_batches : Obs.counter;
-    m_inputs : Obs.counter;
-    m_batch_latency : Obs.histogram;
+let create ?(boot_insts = Simulator.default_boot_insts) ?(format = Utrace.L1d_tlb)
+    ?sim_config ?chaos ?(kind = Pooled) ~mode (defense : Defense.t)
+    (stats : Stats.t) =
+  let sim_config =
+    match sim_config with Some c -> c | None -> Defense.config defense
+  in
+  let metrics = Stats.registry stats in
+  {
+    defense;
+    sim_config;
+    mode;
+    kind;
+    format;
+    stats;
+    boot_insts;
+    chaos = Option.map Fault.arm chaos;
+    sim = None;
+    boot_snapshot = None;
+    sims_created = 0;
+    restores = 0;
+    decode_base = 0;
+    batches = 0;
+    inputs_run = 0;
+    m_rebuilds = Obs.counter metrics "engine.sim.rebuilds";
+    m_restores = Obs.counter metrics "engine.sim.restores";
+    m_rebuild_time = Obs.timer metrics "engine.time.rebuild";
+    m_restore_time = Obs.timer metrics "engine.time.restore";
+    m_prime_time = Obs.timer metrics "engine.time.prime";
+    m_reuse_depth = Obs.gauge metrics "engine.pool.reuse_depth";
+    m_batches = Obs.counter metrics "engine.batches";
+    m_inputs = Obs.counter metrics "engine.inputs_run";
+    m_batch_latency = Obs.histogram metrics "engine.batch.latency";
   }
 
-  let name = B.name
+let kind t = t.kind
 
-  let create ?boot_insts ?format ?sim_config ?chaos ~mode defense stats =
-    let metrics = Stats.registry stats in
-    {
-      ex =
-        Executor.create ?boot_insts ?format ?sim_config ?chaos
-          ~backend:B.backend ~mode defense stats;
-      batches = 0;
-      inputs_run = 0;
-      m_batches = Obs.counter metrics "engine.batches";
-      m_inputs = Obs.counter metrics "engine.inputs_run";
-      m_batch_latency = Obs.histogram metrics "engine.batch.latency";
-    }
+let stats t : stats =
+  {
+    sims_created = t.sims_created;
+    snapshot_restores = t.restores;
+    batches = t.batches;
+    inputs_run = t.inputs_run;
+    programs_decoded =
+      (t.decode_base
+      + match t.sim with Some s -> Simulator.decodes s | None -> 0);
+  }
 
-  let warm t = Executor.warm t.ex
+(* Bank the decode count of the simulator about to be replaced/dropped. *)
+let retire_sim t =
+  match t.sim with
+  | Some s ->
+      t.decode_base <- t.decode_base + Simulator.decodes s;
+      t.sim <- None
+  | None -> ()
 
-  let run t ?context ?log flat input = Executor.run t.ex ?context ?log flat input
+(* Build and warm-boot a fresh simulator, replacing the current one. *)
+let rebuild t =
+  retire_sim t;
+  t.sims_created <- t.sims_created + 1;
+  Obs.incr t.m_rebuilds;
+  let sim =
+    Stats.time t.stats Stats.Sim_startup (fun () ->
+        Obs.time t.m_rebuild_time (fun () ->
+            Simulator.create ~metrics:(Stats.registry t.stats)
+              ~boot_insts:t.boot_insts ~pages:t.defense.Defense.sandbox_pages
+              t.sim_config))
+  in
+  t.sim <- Some sim;
+  sim
 
-  let run_batch t ?(check = fun () -> ()) flat inputs =
-    let started = Obs.Clock.now_s () in
-    Executor.start_program t.ex;
-    t.batches <- t.batches + 1;
-    Obs.incr t.m_batches;
-    let n = Array.length inputs in
-    let outcomes = Array.make n None in
-    let fault = ref None in
-    let i = ref 0 in
-    while !fault = None && !i < n do
-      check ();
-      let o = Executor.run t.ex flat inputs.(!i) in
-      t.inputs_run <- t.inputs_run + 1;
-      Obs.incr t.m_inputs;
-      outcomes.(!i) <- Some o;
-      (match o.Executor.run_fault with
-      | Some f -> fault := Some (f, inputs.(!i))
-      | None -> ());
-      incr i
-    done;
-    Obs.observe t.m_batch_latency (Obs.Clock.elapsed_s ~since:started);
-    { outcomes; batch_fault = !fault }
+(* Pristine post-boot state: [Naive] rebuilds; [Pooled] rewinds the pool
+   simulator to its post-boot checkpoint (building both on first use),
+   which is equivalent without re-running the boot workload. *)
+let pristine t =
+  match t.kind, t.sim, t.boot_snapshot with
+  | Naive, _, _ -> rebuild t
+  | Pooled, Some sim, Some snap ->
+      Stats.time t.stats Stats.Sim_startup (fun () ->
+          Obs.time t.m_restore_time (fun () -> Simulator.restore sim snap));
+      t.restores <- t.restores + 1;
+      Obs.incr t.m_restores;
+      Obs.set_gauge t.m_reuse_depth (float_of_int t.restores);
+      sim
+  | Pooled, _, _ ->
+      let sim = rebuild t in
+      t.boot_snapshot <- Some (Simulator.snapshot sim);
+      sim
 
-  let stats t =
-    {
-      engine = B.name;
-      sims_created = Executor.sims_created t.ex;
-      snapshot_restores = Executor.restores t.ex;
-      batches = t.batches;
-      inputs_run = t.inputs_run;
-      programs_decoded = Executor.decodes t.ex;
-    }
-end
+(** Begin a new test program.  This is where [Opt] mode pays for pristine
+    state; [Naive] mode re-pristines per input instead. *)
+let start_program t =
+  match t.mode, t.kind with
+  | Executor.Opt, _ -> ignore (pristine t)
+  | Executor.Naive, Naive -> retire_sim t
+  | Executor.Naive, Pooled -> ()
 
-module Naive_engine = Make (struct
-  let backend = Executor.Rebuild
-  let name = "naive"
-end)
+(* Current simulator without rewinding it (context reruns restore their own
+   microarchitectural state, so pristine boot state is not needed). *)
+let current_sim t = match t.sim with Some s -> s | None -> pristine t
 
-module Pooled_engine = Make (struct
-  let backend = Executor.Pool
-  let name = "pooled"
-end)
+let warm t = match t.kind with Pooled -> ignore (current_sim t) | Naive -> ()
 
-(* ------------------------------------------------------------------ *)
-(* Packed engines (runtime-selected implementation)                    *)
-(* ------------------------------------------------------------------ *)
+let extract_trace t sim =
+  Stats.time t.stats Stats.Utrace_extraction (fun () ->
+      match t.format with
+      | Utrace.L1d_tlb ->
+          Utrace.State_snapshot
+            {
+              l1d = Simulator.l1d_tags sim;
+              tlb = Simulator.tlb_pages sim;
+              l1i =
+                (if t.defense.Defense.include_l1i then Some (Simulator.l1i_tags sim)
+                 else None);
+            }
+      | Utrace.Bp_state -> Utrace.Predictor_snapshot (Simulator.bp_state sim)
+      | Utrace.Mem_order -> Utrace.Access_order (Simulator.access_order sim)
+      | Utrace.Bp_order ->
+          Utrace.Prediction_order (Simulator.branch_prediction_order sim)
+      | Utrace.Pc_order -> Utrace.Pc_sequence (Simulator.execution_order sim))
 
-type t = Packed : (module S with type t = 'a) * 'a -> t
+let prime t sim =
+  Stats.time t.stats Stats.Sim_simulate (fun () ->
+      Obs.time t.m_prime_time (fun () ->
+          match t.defense.Defense.priming with
+          | Defense.Fill_sets -> ignore (Simulator.prime_with_fills sim)
+          | Defense.Flush -> Simulator.prime_with_flush sim))
 
-let create ?boot_insts ?format ?sim_config ?chaos ?(kind = Pooled) ~mode
-    defense stats =
-  match kind with
-  | Naive ->
-      Packed
-        ( (module Naive_engine),
-          Naive_engine.create ?boot_insts ?format ?sim_config ?chaos ~mode
-            defense stats )
-  | Pooled ->
-      Packed
-        ( (module Pooled_engine),
-          Pooled_engine.create ?boot_insts ?format ?sim_config ?chaos ~mode
-            defense stats )
+(* The chaos hook (robustness self-tests): one draw per test case may raise
+   an injected crash or substitute an injected fault for the real outcome. *)
+let chaos_fault t =
+  match t.chaos with
+  | None -> None
+  | Some chaos -> (
+      match Fault.sample chaos with
+      | `None -> None
+      | `Crash -> raise (Fault.Injected_crash "chaos: executor crash")
+      | `Timeout ->
+          Some (Fault.Deadline_exceeded { elapsed_ms = 0.; deadline_ms = 0. })
+      | `Sim_fault -> Some (Fault.Injected "chaos: simulator fault"))
 
-let name (Packed ((module M), _)) = M.name
-let warm (Packed ((module M), e)) = M.warm e
+(* Run one input on [sim] (which has been primed) and extract its trace. *)
+let run_loaded t sim flat (input : Input.t) =
+  Simulator.load_state sim (Input.to_state input);
+  Simulator.clear_access_order sim;
+  let context = Simulator.snapshot_context sim in
+  let stats_run =
+    Stats.time t.stats Stats.Sim_simulate (fun () -> Simulator.run sim flat)
+  in
+  Stats.count_test_case t.stats;
+  let trace = extract_trace t sim in
+  let run_fault =
+    match chaos_fault t with
+    | Some _ as injected -> injected
+    | None -> Option.map Fault.of_run_fault stats_run.Simulator.fault
+  in
+  {
+    trace;
+    context;
+    run_fault;
+    cycles = stats_run.cycles;
+    sim_stats = stats_run;
+    events = [];
+  }
 
-let run (Packed ((module M), e)) ?context ?log flat input =
-  M.run e ?context ?log flat input
+(* As [run_loaded], with the debug event log enabled for the run. *)
+let run_logged t sim flat input =
+  let log = Simulator.log sim in
+  Event.clear log;
+  Event.set_enabled log true;
+  let outcome = run_loaded t sim flat input in
+  Event.set_enabled log false;
+  let events = Event.events log in
+  Event.clear log;
+  { outcome with events }
 
-let run_batch (Packed ((module M), e)) ?check flat inputs =
-  M.run_batch e ?check flat inputs
+(** Execute one test case (program, input) and produce its trace.
 
-let stats (Packed ((module M), e)) = M.stats e
+    Without [?context]: a fresh run under the engine's mode ([Naive]
+    re-pristines and flushes; [Opt] reuses the program's simulator and
+    primes).
+
+    With [?context]: a validation rerun (§3.2) from an exactly reproduced
+    microarchitectural starting context (predictors, caches, TLB as
+    snapshotted just before some earlier run), so any remaining trace
+    difference between two inputs is caused by the inputs alone.
+
+    [?log] enables the debug event log for this run and fills
+    [outcome.events] (root-cause analysis path). *)
+let run t ?context ?(log = false) flat (input : Input.t) =
+  let runner = if log then run_logged else run_loaded in
+  match context with
+  | Some ctx ->
+      let sim = current_sim t in
+      if not log then Stats.count_validation t.stats;
+      Simulator.restore_context sim ctx;
+      runner t sim flat input
+  | None -> (
+      match t.mode with
+      | Executor.Naive ->
+          (* pristine post-boot state per input; clean caches; no fills *)
+          let sim = pristine t in
+          Simulator.prime_with_flush sim;
+          runner t sim flat input
+      | Executor.Opt ->
+          let sim = current_sim t in
+          prime t sim;
+          runner t sim flat input)
+
+let run_batch t ?(check = fun () -> ()) flat inputs =
+  let started = Obs.Clock.now_s () in
+  start_program t;
+  t.batches <- t.batches + 1;
+  Obs.incr t.m_batches;
+  let n = Array.length inputs in
+  let outcomes = Array.make n None in
+  let fault = ref None in
+  let i = ref 0 in
+  while !fault = None && !i < n do
+    check ();
+    let o = run t flat inputs.(!i) in
+    t.inputs_run <- t.inputs_run + 1;
+    Obs.incr t.m_inputs;
+    outcomes.(!i) <- Some o;
+    (match o.run_fault with
+    | Some f -> fault := Some (f, inputs.(!i))
+    | None -> ());
+    incr i
+  done;
+  Obs.observe t.m_batch_latency (Obs.Clock.elapsed_s ~since:started);
+  { outcomes; batch_fault = !fault }

@@ -1,7 +1,15 @@
-(** The execution-engine abstraction: a uniform create / warm / run /
-    run_batch / stats surface over the executor.  The fuzzer depends on
-    this signature, so alternative backends (sharded, multi-process) can
-    slot in without an interface break. *)
+(** The execution engine: runs test cases on the simulator implementing the
+    countermeasure under test and extracts microarchitectural traces.
+
+    {b Mode} ({!Executor.mode}) fixes the testing semantics (paper §3.2,
+    C3): [Naive] starts every input from pristine post-boot state; [Opt]
+    reuses one simulator per program, overwriting registers/memory in
+    place and priming the L1D per the defense's harness style.
+
+    {b Kind} fixes how pristine state is reached and is trace-invisible:
+    [Naive] rebuilds the simulator (full warm-boot cost); [Pooled] boots
+    once, checkpoints the post-boot state and rewinds it with
+    {!Amulet_uarch.Simulator.restore}. *)
 
 open Amulet_isa
 open Amulet_uarch
@@ -11,64 +19,40 @@ type kind = Naive | Pooled
 
 val kind_name : kind -> string
 
-type stats = {
-  engine : string;
-  sims_created : int;  (** full simulator builds (warm boots) paid *)
-  snapshot_restores : int;  (** checkpoint rewinds performed instead *)
-  batches : int;
-  inputs_run : int;  (** inputs executed through {!run_batch} *)
-  programs_decoded : int;
-      (** pre-decode cache fills; with amortization working this tracks
-          distinct programs, not [inputs_run] *)
+type outcome = {
+  trace : Utrace.t;
+  context : Simulator.context;
+      (** full μarch starting context (predictors + caches), snapshotted
+          just before the run — the handle violation validation uses *)
+  run_fault : Fault.t option;
+  cycles : int;
+  sim_stats : Simulator.run_stats;
+      (** per-run pipeline totals (squashes, speculative issues,
+          mispredicts): the deterministic μarch feedback signal guided
+          generation keys on; derived from the pipeline's own counters, so
+          present even when telemetry is detached *)
+  events : Event.t list;
+      (** debug log of the run; [[]] unless [?log] was set *)
 }
 
 (** Result of one batched pass: per-input outcomes in input order.  A
     simulator fault stops the batch — later slots stay [None] — and is
     reported with the offending input. *)
 type batch = {
-  outcomes : Executor.outcome option array;
+  outcomes : outcome option array;
   batch_fault : (Fault.t * Input.t) option;
 }
 
-(** What every engine implementation provides. *)
-module type S = sig
-  type t
-
-  val name : string
-
-  val create :
-    ?boot_insts:int ->
-    ?format:Utrace.format ->
-    ?sim_config:Config.t ->
-    ?chaos:Fault.injector ->
-    mode:Executor.mode ->
-    Defense.t ->
-    Stats.t ->
-    t
-
-  val warm : t -> unit
-  (** Pay any one-time startup cost now rather than on the first test case. *)
-
-  val run :
-    t -> ?context:Simulator.context -> ?log:bool -> Program.flat -> Input.t ->
-    Executor.outcome
-  (** Single test case; see {!Executor.run}. *)
-
-  val run_batch : t -> ?check:(unit -> unit) -> Program.flat -> Input.t array -> batch
-  (** Execute all inputs of one test program against a warm simulator in a
-      single pass.  [check] runs before each input (deadline hook); whatever
-      it raises propagates. *)
-
-  val stats : t -> stats
-end
-
-module Naive_engine : S
-(** Rebuilds the simulator whenever pristine state is needed. *)
-
-module Pooled_engine : S
-(** Boots once, checkpoints post-boot state, rewinds per test case. *)
-
-(** {2 Packed engines (runtime-selected implementation)} *)
+type stats = {
+  sims_created : int;  (** full simulator builds (warm boots) paid *)
+  snapshot_restores : int;  (** checkpoint rewinds performed instead *)
+  batches : int;
+  inputs_run : int;  (** inputs executed through {!run_batch} *)
+  programs_decoded : int;
+      (** programs decoded into the shared {!Amulet_isa.Decoded} cache
+          across every simulator this engine has owned; with amortization
+          working this tracks distinct programs, not [inputs_run] *)
+}
 
 type t
 
@@ -82,14 +66,32 @@ val create :
   Defense.t ->
   Stats.t ->
   t
-(** [kind] defaults to [Pooled]. *)
+(** [kind] defaults to [Pooled].  [chaos], when set, arms a probabilistic
+    fault injector: each test case may raise {!Fault.Injected_crash} or
+    report an injected fault instead of its real outcome (robustness
+    self-tests only). *)
 
-val name : t -> string
+val kind : t -> kind
+
+val start_program : t -> unit
+(** Begin a new test program; where [Opt] mode pays for pristine state (a
+    rebuild or a checkpoint rewind, per the kind). *)
+
 val warm : t -> unit
+(** Pre-build the pooled simulator and its post-boot checkpoint so the
+    first test case doesn't pay the boot cost ([Naive]: no-op). *)
 
 val run :
   t -> ?context:Simulator.context -> ?log:bool -> Program.flat -> Input.t ->
-  Executor.outcome
+  outcome
+(** Execute one test case.  Without [?context], a fresh run under the
+    engine's mode; with [?context], a validation rerun from an exactly
+    reproduced microarchitectural starting context.  [?log] (default
+    [false]) enables the debug event log and fills [outcome.events]. *)
 
 val run_batch : t -> ?check:(unit -> unit) -> Program.flat -> Input.t array -> batch
+(** {!start_program}, then execute all inputs of the program against the
+    warm simulator in a single pass.  [check] runs before each input
+    (deadline hook); whatever it raises propagates. *)
+
 val stats : t -> stats

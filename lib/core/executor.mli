@@ -1,88 +1,14 @@
-(** The executor: runs test cases on the simulator under test and extracts
-    microarchitectural traces.
+(** The executor's testing semantics (paper §3.2, C3).  {!Engine} runs
+    test cases under either mode.
 
-    {b Mode} fixes the testing semantics (paper §3.2, C3): [Naive] starts
-    every input from pristine post-boot state; [Opt] reuses one simulator
-    per program, overwriting registers/memory in place and priming the L1D
-    per the defense's harness style.
-
-    {b Backend} fixes the trace-invisible implementation strategy:
-    [Rebuild] reconstructs the simulator (full warm-boot cost) whenever
-    pristine state is needed; [Pool] checkpoints the post-boot state once
-    and rewinds it with {!Amulet_uarch.Simulator.restore}. *)
-
-open Amulet_isa
-open Amulet_uarch
-open Amulet_defenses
+    - [Naive] starts {e every input} from pristine post-boot state (clean
+      caches, reset predictors);
+    - [Opt] reuses one simulator per {e program}, overwrites registers and
+      memory in place between inputs, and primes the L1D before each input
+      per the defense's harness style.  Predictor state persists across
+      inputs, which widens prediction variety but requires violation
+      validation (see {!Fuzzer}). *)
 
 type mode = Naive | Opt
 
 val mode_name : mode -> string
-
-type backend = Rebuild | Pool
-
-val backend_name : backend -> string
-
-type t
-
-type outcome = {
-  trace : Utrace.t;
-  context : Simulator.context;
-      (** full μarch starting context (predictors + caches), snapshotted
-          just before the run — the handle violation validation uses *)
-  run_fault : Fault.t option;
-  cycles : int;
-  sim_stats : Simulator.run_stats;
-      (** per-run pipeline totals (squashes, speculative issues,
-          mispredicts): the deterministic μarch feedback signal guided
-          generation keys on; derived from the pipeline's own counters, so
-          present even when telemetry is detached *)
-  events : Event.t list;
-      (** debug log of the run; [[]] unless [?log] was set *)
-}
-
-val create :
-  ?boot_insts:int ->
-  ?format:Utrace.format ->
-  ?sim_config:Config.t ->
-  ?chaos:Fault.injector ->
-  ?backend:backend ->
-  mode:mode ->
-  Defense.t ->
-  Stats.t ->
-  t
-(** [backend] defaults to [Pool].  [chaos], when set, arms a probabilistic
-    fault injector: each test case may raise {!Fault.Injected_crash} or
-    report an injected fault instead of its real outcome (robustness
-    self-tests only). *)
-
-val mode : t -> mode
-val backend : t -> backend
-
-val start_program : t -> unit
-(** Begin a new test program; where [Opt] mode pays for pristine state (a
-    rebuild or a checkpoint rewind, per the backend). *)
-
-val warm : t -> unit
-(** Pre-build the pooled simulator and its post-boot checkpoint so the
-    first test case doesn't pay the boot cost ([Rebuild]: no-op). *)
-
-val run :
-  t -> ?context:Simulator.context -> ?log:bool -> Program.flat -> Input.t ->
-  outcome
-(** Execute one test case.  Without [?context], a fresh run under the
-    executor's mode; with [?context], a validation rerun from an exactly
-    reproduced microarchitectural starting context.  [?log] (default
-    [false]) enables the debug event log and fills [outcome.events]. *)
-
-val sims_created : t -> int
-(** Simulators built (and warm-booted) over this executor's lifetime. *)
-
-val restores : t -> int
-(** Checkpoint rewinds performed instead of rebuilds ([Pool] backend). *)
-
-val decodes : t -> int
-(** Programs decoded into the shared {!Amulet_isa.Decoded} cache across
-    every simulator this executor has owned (monotonic over [Rebuild]
-    replacements).  With decode amortization working this tracks distinct
-    programs, not inputs. *)

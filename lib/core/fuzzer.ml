@@ -1,6 +1,6 @@
 (** The relational fuzzing round: generate a program and inputs, collect
     contract traces (leakage model) and microarchitectural traces
-    (executor), and flag validated contract violations (Definition 2.1).
+    (engine), and flag validated contract violations (Definition 2.1).
 
     Input boosting follows Revizor: one taint-tracking pass per base input
     identifies the input atoms the contract trace depends on; mutants
@@ -14,62 +14,10 @@ open Amulet_obs
 module Rng = Amulet_corpus.Rng
 module Generator = Amulet_corpus.Generator
 
-type config = {
-  n_base_inputs : int;
-  boosts_per_input : int;  (** mutants per base input *)
-  contract : Contract.t option;  (** override the defense's default contract *)
-  generation : Run_spec.generation;
-      (** generation strategy; [Guided] activates the corpus/scheduler/
-          mutation loop *)
-  generator : Generator.config;
-      (** effective base generator config (= base of [generation], with the
-          defense's sandbox capacity applied) *)
-  executor_mode : Executor.mode;
-  engine : Engine.kind;
-      (** execution backend: [Pooled] (checkpoint rewind, default) or
-          [Naive] (full rebuild); trace-invisible, throughput only *)
-  trace_format : Utrace.format;
-  boot_insts : int;
-  sim_config : Amulet_uarch.Config.t option;  (** override (amplification) *)
-  deadline_ms : float option;
-      (** wall-clock budget per round; a round that blows it degrades to a
-          classified discard (complements the simulator's [max_cycles]) *)
-  quarantine_dir : string option;
-      (** where to save the program+input of every discarded round *)
-  chaos : Fault.injector option;  (** fault injection (self-tests) *)
-  isolate_rounds : bool;
-      (** catch exceptions escaping a round and degrade them to classified
-          discards; on by default — turned off only by supervision tests
-          that need a whole instance to crash *)
-  static_filter : Run_spec.static_filter;
-      (** static leakage pre-filter: skip ([Screen]) or deprioritize
-          ([Score]) programs that provably cannot leak *)
-}
-
-(* The config <-> Run_spec bridge: [config] stays the fuzzer's internal
-   working record; the public construction surface is {!Run_spec.t}. *)
-let config_of_spec (s : Run_spec.t) =
-  {
-    n_base_inputs = s.Run_spec.n_base_inputs;
-    boosts_per_input = s.Run_spec.boosts_per_input;
-    contract = s.Run_spec.contract;
-    generation = s.Run_spec.generation;
-    generator = Run_spec.generator_config s;
-    executor_mode = s.Run_spec.mode;
-    engine = s.Run_spec.engine;
-    trace_format = s.Run_spec.trace_format;
-    boot_insts = s.Run_spec.boot_insts;
-    sim_config = s.Run_spec.sim_config;
-    deadline_ms = s.Run_spec.deadline_ms;
-    quarantine_dir = s.Run_spec.quarantine_dir;
-    chaos = s.Run_spec.chaos;
-    isolate_rounds = s.Run_spec.isolate_rounds;
-    static_filter = s.Run_spec.static_filter;
-  }
-
 type t = {
-  cfg : config;
-  defense : Defense.t;
+  spec : Run_spec.t;
+      (* the run description, with the defense's sandbox capacity applied
+         to the generation strategy's base config *)
   contract : Contract.t;
   engine : Engine.t;
   stats : Stats.t;
@@ -125,19 +73,17 @@ let static_window (contract : Contract.t) =
 
 let create ?(metrics = Obs.noop) ?engine (spec : Run_spec.t) =
   let defense = spec.Run_spec.defense in
-  let cfg = config_of_spec spec in
-  let contract = Option.value cfg.contract ~default:defense.Defense.contract in
+  let contract =
+    Option.value spec.Run_spec.contract ~default:defense.Defense.contract
+  in
   (* the defense dictates the sandbox capacity; apply it to the strategy's
-     base config (and the effective alias) so generation, mutation and
-     input synthesis all agree *)
+     base config so generation, mutation and input synthesis all agree *)
   let generation =
     Run_spec.map_generation_base
       (fun g -> { g with Generator.sandbox_pages = defense.Defense.sandbox_pages })
-      cfg.generation
+      spec.Run_spec.generation
   in
-  let cfg =
-    { cfg with generation; generator = Run_spec.generation_base generation }
-  in
+  let spec = { spec with Run_spec.generation } in
   let corpus =
     match Run_spec.generation_corpus generation with
     | None -> None
@@ -152,20 +98,20 @@ let create ?(metrics = Obs.noop) ?engine (spec : Run_spec.t) =
     | Some (engine, stats) ->
         (* injected warmed engine (sweep cache): its stats sink is adopted
            wholesale; spec.chaos is ignored because chaos is armed at
-           executor creation *)
+           engine creation *)
         (engine, stats)
     | None ->
         let stats = Stats.create ~metrics () in
         let engine =
-          Engine.create ~boot_insts:cfg.boot_insts ~format:cfg.trace_format
-            ?sim_config:cfg.sim_config ?chaos:cfg.chaos ~kind:cfg.engine
-            ~mode:cfg.executor_mode defense stats
+          Engine.create ~boot_insts:spec.Run_spec.boot_insts
+            ~format:spec.Run_spec.trace_format
+            ?sim_config:spec.Run_spec.sim_config ?chaos:spec.Run_spec.chaos
+            ~kind:spec.Run_spec.engine ~mode:spec.Run_spec.mode defense stats
         in
         (engine, stats)
   in
   {
-    cfg;
-    defense;
+    spec;
     contract;
     engine;
     stats;
@@ -194,6 +140,7 @@ let create ?(metrics = Obs.noop) ?engine (spec : Run_spec.t) =
   }
 
 let stats t = t.stats
+let generator t = Run_spec.generator_config t.spec
 let contract t = t.contract
 let quarantined t = t.quarantined
 let corpus t = t.corpus
@@ -231,7 +178,7 @@ type test_case = {
   ctrace_hash : int64;
   shape_hash : int64;  (** contract-trace shape digest (coverage feature) *)
   spec_steps : int;  (** model instructions on mispredicted paths *)
-  mutable outcome : Executor.outcome option;
+  mutable outcome : Engine.outcome option;
 }
 
 type round_result =
@@ -252,7 +199,7 @@ exception Deadline of Fault.t
 type deadline = { round_started : float; budget_ms : float option }
 
 let deadline_start t =
-  { round_started = Obs.Clock.now_s (); budget_ms = t.cfg.deadline_ms }
+  { round_started = Obs.Clock.now_s (); budget_ms = t.spec.Run_spec.deadline_ms }
 
 (* [Obs.Clock.elapsed_ms] clamps to >= 0: the wall clock is not monotonic,
    and an NTP step backwards must not instantly exhaust (or extend) the
@@ -292,11 +239,11 @@ let ctrace_of t flat input ~collect_taint =
 let build_test_cases t flat dl =
   let cases = ref [] in
   let fault = ref None in
-  let n = t.cfg.n_base_inputs in
+  let n = t.spec.Run_spec.n_base_inputs in
   for _ = 1 to n do
     if !fault = None then begin
       check_deadline t dl;
-      let base = Input.generate t.rng ~pages:t.cfg.generator.Generator.sandbox_pages in
+      let base = Input.generate t.rng ~pages:(generator t).Generator.sandbox_pages in
       let result = ctrace_of t flat base ~collect_taint:true in
       match result.Leakage_model.fault with
       | Some f -> fault := Some (Fault.of_run_fault f, base)
@@ -314,7 +261,7 @@ let build_test_cases t flat dl =
           (match result.Leakage_model.taint with
           | None -> ()
           | Some taint ->
-              for _ = 1 to t.cfg.boosts_per_input do
+              for _ = 1 to t.spec.Run_spec.boosts_per_input do
                 check_deadline t dl;
                 let mutant = Input.mutate_free t.rng taint base in
                 (* taint tracking is conservative, but verify: a mutant whose
@@ -344,7 +291,7 @@ let build_test_cases t flat dl =
 (* ------------------------------------------------------------------ *)
 
 let quarantine t flat ?input fault =
-  match t.cfg.quarantine_dir with
+  match t.spec.Run_spec.quarantine_dir with
   | None -> ()
   | Some dir -> (
       t.quarantined <- t.quarantined + 1;
@@ -353,7 +300,7 @@ let quarantine t flat ?input fault =
       try
         ignore
           (Violation_io.save_quarantine ~dir ~seq:t.quarantined ~fault
-             ~defense_name:t.defense.Defense.name
+             ~defense_name:t.spec.Run_spec.defense.Defense.name
              ~contract_name:t.contract.Contract.name flat input)
       with Sys_error _ -> ())
 
@@ -381,14 +328,14 @@ let classes_of cases =
    Opt-mode context disappear here and are rejected. *)
 let validate t flat (a : test_case) (b : test_case) =
   let try_ctx ctx =
-    let ta = (Engine.run t.engine ~context:ctx flat a.input).Executor.trace in
-    let tb = (Engine.run t.engine ~context:ctx flat b.input).Executor.trace in
+    let ta = (Engine.run t.engine ~context:ctx flat a.input).Engine.trace in
+    let tb = (Engine.run t.engine ~context:ctx flat b.input).Engine.trace in
     if Utrace.equal ta tb then None else Some (ta, tb, ctx)
   in
   let ctxs =
     List.filter_map
-      (fun (o : Executor.outcome option) ->
-        Option.map (fun o -> o.Executor.context) o)
+      (fun (o : Engine.outcome option) ->
+        Option.map (fun o -> o.Engine.context) o)
       [ a.outcome; b.outcome ]
   in
   List.fold_left
@@ -397,7 +344,7 @@ let validate t flat (a : test_case) (b : test_case) =
 
 (* Aggregate one round's deterministic coverage feedback: contract-trace
    shape/class structure from the model, per-run pipeline totals from the
-   executor outcomes.  Case order is fixed (base inputs then their
+   engine outcomes.  Case order is fixed (base inputs then their
    mutants), so the fold is reproducible across engines and worker
    fleets. *)
 let feedback_of (arr : test_case array) : Amulet_corpus.Coverage.feedback =
@@ -414,7 +361,7 @@ let feedback_of (arr : test_case array) : Amulet_corpus.Coverage.feedback =
     Array.fold_left
       (fun a c ->
         match c.outcome with
-        | Some o -> a + f o.Executor.sim_stats
+        | Some o -> a + f o.Engine.sim_stats
         | None -> a)
       0 arr
   in
@@ -439,7 +386,7 @@ let test_program_exn t (flat : Program.flat) dl : round_result =
   | Ok cases -> (
       let arr = Array.of_list cases in
       (* one batched pass: all boosted inputs of this test case against a
-         warm simulator (the engine re-pristines per its mode/backend) *)
+         warm simulator (the engine re-pristines per its mode and kind) *)
       let batch =
         Engine.run_batch t.engine
           ~check:(fun () -> check_deadline t dl)
@@ -464,7 +411,7 @@ let test_program_exn t (flat : Program.flat) dl : round_result =
                         let b = arr.(j) in
                         match a.outcome, b.outcome with
                         | Some oa, Some ob ->
-                            if not (Utrace.equal oa.Executor.trace ob.Executor.trace)
+                            if not (Utrace.equal oa.Engine.trace ob.Engine.trace)
                             then
                               (* candidate: validate under a common context *)
                               (match validate t flat a b with
@@ -492,7 +439,7 @@ let test_program_exn t (flat : Program.flat) dl : round_result =
                   trace_a_hash = Utrace.hash ta;
                   trace_b_hash = Utrace.hash tb;
                   contract = t.contract;
-                  defense_name = t.defense.Defense.name;
+                  defense_name = t.spec.Run_spec.defense.Defense.name;
                   detection_seconds = Obs.Clock.elapsed_s ~since:t.started_at;
                   signature = None;
                 }))
@@ -508,7 +455,7 @@ let test_program t (flat : Program.flat) : round_result =
   let contained () =
     try test_program_exn t flat dl with Deadline fault -> discard t flat fault
   in
-  if t.cfg.isolate_rounds then
+  if t.spec.Run_spec.isolate_rounds then
     try contained () with
     | Budget as e -> raise e
     | exn -> discard t flat (Fault.of_exn exn)
@@ -518,7 +465,7 @@ let test_program t (flat : Program.flat) : round_result =
    defense (sandbox capacity) and contract (speculation window). *)
 let static_report t flat =
   let sandbox_bytes =
-    t.defense.Defense.sandbox_pages * Amulet_emu.Memory.page_size
+    t.spec.Run_spec.defense.Defense.sandbox_pages * Amulet_emu.Memory.page_size
   in
   Obs.incr t.m_static_analyzed;
   let report =
@@ -533,7 +480,7 @@ let static_leaky t flat = (static_report t flat).Amulet_static.Leakcheck.leaky
 (* Apply the static pre-filter: [None] means the round is screened out
    without simulating a single input. *)
 let generate_filtered t gen =
-  match t.cfg.static_filter with
+  match t.spec.Run_spec.static_filter with
   | Run_spec.Off -> Some (gen ())
   | Run_spec.Screen ->
       let flat = gen () in
@@ -558,7 +505,7 @@ let generate_filtered t gen =
 
 let gen_fresh t () =
   Stats.time t.stats Stats.Test_generation (fun () ->
-      Generator.generate_flat ~cfg:t.cfg.generator t.rng)
+      Generator.generate_flat ~cfg:(generator t) t.rng)
 
 (* One blind-random round (the classic [Random] strategy). *)
 let random_round t : round_result =
@@ -583,7 +530,7 @@ let guided_round t c : round_result =
     | Corpus.Mutate e -> (
         match
           Stats.time t.stats Stats.Test_generation (fun () ->
-              Mutate.mutate ~cfg:t.cfg.generator
+              Mutate.mutate ~cfg:(generator t)
                 ~energy:params.Corpus.energy t.rng e.Corpus.program)
         with
         | Some (m, _ops) ->
@@ -598,7 +545,7 @@ let guided_round t c : round_result =
      before simulation; [Score] feeds the transmitter count in as
      mutation energy (corpus admission bonus) instead of redrawing *)
   let screened, bonus =
-    match t.cfg.static_filter with
+    match t.spec.Run_spec.static_filter with
     | Run_spec.Off -> (false, 0)
     | Run_spec.Screen ->
         if static_leaky t flat then (false, 0)
@@ -639,7 +586,7 @@ let round t : round_result =
     | Some c -> guided_round t c
     | None -> random_round t
   in
-  if t.cfg.isolate_rounds then
+  if t.spec.Run_spec.isolate_rounds then
     try body () with
     | Budget as e -> raise e
     | exn ->

@@ -5,42 +5,18 @@
 open Amulet_isa
 open Amulet_contracts
 
-type config = {
-  n_base_inputs : int;
-  boosts_per_input : int;
-  contract : Contract.t option;  (** override the defense's default *)
-  generation : Run_spec.generation;  (** how test programs are produced *)
-  generator : Amulet_corpus.Generator.config;
-      (** effective base generator config (= [generation]'s base with the
-          defense's sandbox-pages override applied after {!create}) *)
-  executor_mode : Executor.mode;
-  engine : Engine.kind;  (** execution backend (trace-invisible) *)
-  trace_format : Utrace.format;
-  boot_insts : int;
-  sim_config : Amulet_uarch.Config.t option;  (** amplification override *)
-  deadline_ms : float option;  (** wall-clock budget per round *)
-  quarantine_dir : string option;  (** corpus dir for discarded rounds *)
-  chaos : Fault.injector option;  (** fault injection (self-tests) *)
-  isolate_rounds : bool;  (** contain exceptions escaping a round *)
-  static_filter : Run_spec.static_filter;  (** static leakage pre-filter *)
-}
-
-val config_of_spec : Run_spec.t -> config
-(** Project a {!Run_spec.t} onto the fuzzer's internal knobs (campaign-level
-    fields — rounds, budget, stop-after — are not the fuzzer's concern). *)
-
 type t
 
 val create :
   ?metrics:Amulet_obs.Obs.t -> ?engine:Engine.t * Stats.t -> Run_spec.t -> t
 (** Build a fuzzer from a {!Run_spec.t} (defense, seed and all execution
     knobs live in the spec).  [metrics] (default noop) receives the
-    [fuzzer.*] counters and is threaded through stats/engine/executor down
+    [fuzzer.*] counters and is threaded through stats and engine down
     to the simulator's [uarch.*] hardware counters.  [engine] injects an
     existing (typically warmed) engine and its stats sink instead of
     building one — the sweep orchestrator uses this to reuse one pooled
     engine across every job of the same defense config; the spec's
-    [chaos] is ignored for injected engines (chaos arms at executor
+    [chaos] is ignored for injected engines (chaos arms at engine
     creation). *)
 
 val stats : t -> Stats.t

@@ -32,18 +32,18 @@ let still_violates ~defense ~contract ~sim_config flat (a : Input.t) (b : Input.
   && Int64.equal ra.Leakage_model.ctrace_hash rb.Leakage_model.ctrace_hash
   &&
   let ex =
-    Executor.create ~boot_insts:200 ?sim_config ~mode:Executor.Opt defense
+    Engine.create ~boot_insts:200 ?sim_config ~mode:Executor.Opt defense
       (Stats.create ())
   in
-  Executor.start_program ex;
-  let oa = Executor.run ex flat a in
-  let ob = Executor.run ex flat b in
+  Engine.start_program ex;
+  let oa = Engine.run ex flat a in
+  let ob = Engine.run ex flat b in
   let differs ctx =
-    let ta = (Executor.run ex ~context:ctx flat a).Executor.trace in
-    let tb = (Executor.run ex ~context:ctx flat b).Executor.trace in
+    let ta = (Engine.run ex ~context:ctx flat a).Engine.trace in
+    let tb = (Engine.run ex ~context:ctx flat b).Engine.trace in
     not (Utrace.equal ta tb)
   in
-  differs oa.Executor.context || differs ob.Executor.context
+  differs oa.Engine.context || differs ob.Engine.context
 
 let nop_count flat =
   Array.fold_left

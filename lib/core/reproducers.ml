@@ -259,14 +259,13 @@ let hunt ?(seed = 7) ?(n_base_inputs = 10) ?(boosts_per_input = 8) ?sim_config r
     Run_spec.make ~defense:r.defense ~seed ~inputs:n_base_inputs
       ~boosts:boosts_per_input ~boot_insts:500 ?sim_config ()
   in
-  (* detection-time signing goes through the one shared path *)
-  let sign v = Triage.sign ~boot_insts:500 ?sim_config v in
+  let sign = Analysis.sign ~boot_insts:500 ?sim_config in
   let rec attempt tries seed =
     if tries = 0 then None
     else
       let fz = Fuzzer.create (spec seed) in
       match Fuzzer.test_program fz (flat r) with
-      | Fuzzer.Found v -> Some (fst (sign v))
+      | Fuzzer.Found v -> Some (snd (sign v))
       | Fuzzer.No_violation _ | Fuzzer.Discarded _ | Fuzzer.Screened ->
           attempt (tries - 1) (seed + 1)
   in
@@ -284,7 +283,7 @@ let hunt ?(seed = 7) ?(n_base_inputs = 10) ?(boosts_per_input = 8) ?sim_config r
           match Fuzzer.round fz with
           | Fuzzer.Found v -> (
               match sign v with
-              | signed, c when c = r.expected_class -> Some signed
+              | c, signed when c = r.expected_class -> Some signed
               | _ -> rounds (n - 1))
           | Fuzzer.No_violation _ | Fuzzer.Discarded _ | Fuzzer.Screened ->
               rounds (n - 1)

@@ -113,6 +113,5 @@ let contract_name t =
 let pp ppf t =
   Format.fprintf ppf "%s vs %s: %d rounds, seed %d, %s engine, %s mode, %s gen"
     t.defense.Defense.name (contract_name t) t.rounds t.seed
-    (match t.engine with Engine.Pooled -> "pooled" | Engine.Naive -> "naive")
-    (match t.mode with Executor.Opt -> "opt" | Executor.Naive -> "naive")
+    (Engine.kind_name t.engine) (Executor.mode_name t.mode)
     (generation_name t.generation)

@@ -5,12 +5,11 @@
     [generation], [seed]) and how to execute it ([mode], [engine],
     [trace_format], [boot_insts], [sim_config]).
 
-    This record consolidates the knobs that used to be spread across
-    [Fuzzer.config], the [Campaign.config] wrapper, [Executor.backend] and
-    the [Engine] kind: {!Fuzzer.create}, [Campaign.run]/[Campaign.run_parallel]
-    and [Sweep] all consume a [Run_spec.t], and the CLI builds one per
-    subcommand.  Build specs with {!make} and refine them by functional
-    update ([{ spec with seed = ... }] — every field is exposed). *)
+    {!Fuzzer.create} (which keeps the spec itself),
+    [Campaign.run]/[Campaign.run_parallel] and [Sweep] all consume a
+    [Run_spec.t], and the CLI builds one per subcommand.  Build specs with
+    {!make} and refine them by functional update
+    ([{ spec with seed = ... }] — every field is exposed). *)
 
 open Amulet_contracts
 open Amulet_defenses
@@ -66,7 +65,7 @@ type t = {
   generation : generation;  (** how each round's test program is produced *)
   (* execution *)
   mode : Executor.mode;
-  engine : Engine.kind;  (** execution backend (trace-invisible) *)
+  engine : Engine.kind;  (** how pristine state is reached (trace-invisible) *)
   trace_format : Utrace.format;
   boot_insts : int;
   sim_config : Amulet_uarch.Config.t option;  (** amplification override *)

@@ -3,7 +3,7 @@
     Determinism contract: a shard's entire behaviour is fixed by its
     [Run_spec.t] (seed included) at job-construction time; which domain
     runs it, and in what order, only affects wall-clock fields.  Engine
-    reuse across jobs is safe because [Executor.start_program] re-pristines
+    reuse across jobs is safe because [Engine.start_program] re-pristines
     the simulator per program (the PR-2 pooled-engine property), and the
     campaign's stats accounting is delta-based. *)
 

@@ -227,19 +227,19 @@ let explain ?l1d_ways ?mshrs ?sim_config (s : Violation_io.stored) : finding =
   let flat = s.Violation_io.program in
   let metrics = Obs.create () in
   let ex =
-    Executor.create ?sim_config ~mode:Executor.Opt defense
+    Engine.create ?sim_config ~mode:Executor.Opt defense
       (Stats.create ~metrics ())
   in
-  Executor.start_program ex;
+  Engine.start_program ex;
   (* run A once fresh, only to capture a starting context both inputs can
      then share — exactly the validation discipline of the fuzzer *)
-  let oa0 = Executor.run ex flat s.Violation_io.input_a in
-  let ctx = oa0.Executor.context in
+  let oa0 = Engine.run ex flat s.Violation_io.input_a in
+  let ctx = oa0.Engine.context in
   let snap () = Obs.Snapshot.of_registry metrics in
   let s0 = snap () in
-  let oa = Executor.run ex ~context:ctx ~log:true flat s.Violation_io.input_a in
+  let oa = Engine.run ex ~context:ctx ~log:true flat s.Violation_io.input_a in
   let s1 = snap () in
-  let ob = Executor.run ex ~context:ctx ~log:true flat s.Violation_io.input_b in
+  let ob = Engine.run ex ~context:ctx ~log:true flat s.Violation_io.input_b in
   let s2 = snap () in
   let counters_a = uarch_only (Obs.Snapshot.diff ~older:s0 ~newer:s1) in
   let counters_b = uarch_only (Obs.Snapshot.diff ~older:s1 ~newer:s2) in
@@ -249,13 +249,13 @@ let explain ?l1d_ways ?mshrs ?sim_config (s : Violation_io.stored) : finding =
   let rb =
     Leakage_model.collect contract flat (Input.to_state s.Violation_io.input_b)
   in
-  let reproduced = not (Utrace.equal oa.Executor.trace ob.Executor.trace) in
+  let reproduced = not (Utrace.equal oa.Engine.trace ob.Engine.trace) in
   let status = if reproduced then Reproduced else Not_reproduced in
   let ctrace = summarize_ctraces ra rb in
-  let utrace_diff = Utrace.diff oa.Executor.trace ob.Executor.trace in
+  let utrace_diff = Utrace.diff oa.Engine.trace ob.Engine.trace in
   let leak_class =
     if reproduced then
-      Some (Analysis.classify ~defense oa.Executor.events ob.Executor.events)
+      Some (Analysis.classify ~defense oa.Engine.events ob.Engine.events)
     else None
   in
   {
@@ -279,20 +279,6 @@ let explain ?l1d_ways ?mshrs ?sim_config (s : Violation_io.stored) : finding =
 
 let of_violation ?sim_config (v : Violation.t) : finding =
   explain ?sim_config (Violation_io.of_violation v)
-
-let sign ?boot_insts ?sim_config (v : Violation.t) =
-  let defense =
-    Option.value
-      (Defense.find v.Violation.defense_name)
-      ~default:Defense.baseline
-  in
-  let ex =
-    Executor.create ?boot_insts ?sim_config ~mode:Executor.Opt defense
-      (Stats.create ())
-  in
-  Executor.start_program ex;
-  let c = Analysis.classify_violation ex v in
-  (Violation.with_signature (Analysis.class_name c) v, c)
 
 (* ------------------------------------------------------------------ *)
 (* Bisection: name the responsible mechanism                           *)

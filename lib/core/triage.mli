@@ -101,15 +101,6 @@ val explain :
 val of_violation : ?sim_config:Amulet_uarch.Config.t -> Violation.t -> finding
 (** As {!explain}, for an in-memory violation (its stored projection). *)
 
-val sign :
-  ?boot_insts:int ->
-  ?sim_config:Amulet_uarch.Config.t ->
-  Violation.t ->
-  Violation.t * Analysis.leak_class
-(** Classify a fresh finding and return its signed copy (class name as
-    {!Violation.t} signature) together with the class — the detection-time
-    signing path {!Reproducers} and campaigns share. *)
-
 val bisect :
   ?l1d_ways:int ->
   ?mshrs:int ->

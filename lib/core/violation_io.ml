@@ -267,27 +267,27 @@ let rehydrate ?sim_config (s : stored) : Violation.t =
       ~default:defense.Amulet_defenses.Defense.contract
   in
   let ex =
-    Executor.create ?sim_config ~mode:Executor.Opt defense (Stats.create ())
+    Engine.create ?sim_config ~mode:Executor.Opt defense (Stats.create ())
   in
-  Executor.start_program ex;
-  let oa = Executor.run ex s.program s.input_a in
-  let ob = Executor.run ex s.program s.input_b in
+  Engine.start_program ex;
+  let oa = Engine.run ex s.program s.input_a in
+  let ob = Engine.run ex s.program s.input_b in
   (* re-executed traces serve analysis; identity comes from the stored
      detection-time hashes so fingerprints survive the round-trip (the
      fallback recomputation only applies to pre-identity files) *)
   let ctrace_hash, trace_a_hash, trace_b_hash =
     match s.identity with
     | Some id -> id
-    | None -> (0L, Utrace.hash oa.Executor.trace, Utrace.hash ob.Executor.trace)
+    | None -> (0L, Utrace.hash oa.Engine.trace, Utrace.hash ob.Engine.trace)
   in
   {
     Violation.program = s.program;
     program_text = Format.asprintf "%a" Program.pp_flat s.program;
     input_a = s.input_a;
     input_b = s.input_b;
-    trace_a = oa.Executor.trace;
-    trace_b = ob.Executor.trace;
-    context = oa.Executor.context;
+    trace_a = oa.Engine.trace;
+    trace_b = ob.Engine.trace;
+    context = oa.Engine.context;
     ctrace_hash;
     trace_a_hash;
     trace_b_hash;

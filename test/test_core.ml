@@ -178,14 +178,14 @@ let spectre_src = {|
 
 let test_executor_determinism_with_context () =
   let stats = Stats.create () in
-  let ex = Executor.create ~boot_insts:200 ~mode:Executor.Opt Defense.baseline stats in
-  Executor.start_program ex;
+  let ex = Engine.create ~boot_insts:200 ~mode:Executor.Opt Defense.baseline stats in
+  Engine.start_program ex;
   let flat = Program.flatten (Asm.parse spectre_src) in
   let rng = Rng.create ~seed:3 in
   let input = Input.generate rng ~pages:1 in
-  let o = Executor.run ex flat input in
-  let t1 = (Executor.run ex ~context:o.Executor.context flat input).Executor.trace in
-  let t2 = (Executor.run ex ~context:o.Executor.context flat input).Executor.trace in
+  let o = Engine.run ex flat input in
+  let t1 = (Engine.run ex ~context:o.Engine.context flat input).Engine.trace in
+  let t2 = (Engine.run ex ~context:o.Engine.context flat input).Engine.trace in
   checkb "same input same context same trace" true (Utrace.equal t1 t2)
 
 let test_executor_naive_vs_opt_equivalent_results () =
@@ -196,10 +196,10 @@ let test_executor_naive_vs_opt_equivalent_results () =
   let input = Input.generate rng ~pages:1 in
   List.iter
     (fun mode ->
-      let ex = Executor.create ~boot_insts:200 ~mode Defense.baseline (Stats.create ()) in
-      Executor.start_program ex;
-      let o = Executor.run ex flat input in
-      Alcotest.(check (option string)) "no fault" None (Option.map Fault.to_string o.Executor.run_fault))
+      let ex = Engine.create ~boot_insts:200 ~mode Defense.baseline (Stats.create ()) in
+      Engine.start_program ex;
+      let o = Engine.run ex flat input in
+      Alcotest.(check (option string)) "no fault" None (Option.map Fault.to_string o.Engine.run_fault))
     [ Executor.Naive; Executor.Opt ]
 
 let test_stats_accounting () =

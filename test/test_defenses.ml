@@ -105,13 +105,8 @@ let figure4_src = {|
 let test_figure4_uv1_reproducer () =
   (match fuzz_crafted ~seed:2 Defense.invisispec figure4_src with
   | Fuzzer.Found v ->
-      let ex =
-        Executor.create ~boot_insts:500 ~mode:Executor.Opt Defense.invisispec
-          (Stats.create ())
-      in
-      Executor.start_program ex;
       checkb "classified UV1" true
-        (Analysis.classify_violation ex v = Analysis.Spec_eviction_uv1)
+        (fst (Analysis.sign ~boot_insts:500 v) = Analysis.Spec_eviction_uv1)
   | Fuzzer.No_violation _ -> Alcotest.fail "figure 4 reproducer found nothing"
   | Fuzzer.Screened -> Alcotest.fail "unexpectedly screened"
   | Fuzzer.Discarded r -> Alcotest.failf "discarded: %s" (Fault.to_string r));
@@ -137,13 +132,8 @@ let figure8_src = {|
 let test_figure8_uv6_reproducer () =
   (match fuzz_crafted ~seed:2 Defense.speclfb figure8_src with
   | Fuzzer.Found v ->
-      let ex =
-        Executor.create ~boot_insts:500 ~mode:Executor.Opt Defense.speclfb
-          (Stats.create ())
-      in
-      Executor.start_program ex;
       checkb "classified UV6" true
-        (Analysis.classify_violation ex v = Analysis.First_load_unprotected_uv6)
+        (fst (Analysis.sign ~boot_insts:500 v) = Analysis.First_load_unprotected_uv6)
   | Fuzzer.No_violation _ -> Alcotest.fail "figure 8 reproducer found nothing"
   | Fuzzer.Screened -> Alcotest.fail "unexpectedly screened"
   | Fuzzer.Discarded r -> Alcotest.failf "discarded: %s" (Fault.to_string r));
@@ -170,12 +160,8 @@ let figure9_src = {|
 let test_figure9_kv3_reproducer () =
   (match fuzz_crafted ~seed:7 Defense.stt figure9_src with
   | Fuzzer.Found v ->
-      let ex =
-        Executor.create ~boot_insts:500 ~mode:Executor.Opt Defense.stt (Stats.create ())
-      in
-      Executor.start_program ex;
       checkb "classified KV3" true
-        (Analysis.classify_violation ex v = Analysis.Tainted_store_tlb_kv3)
+        (fst (Analysis.sign ~boot_insts:500 v) = Analysis.Tainted_store_tlb_kv3)
   | Fuzzer.No_violation _ -> Alcotest.fail "figure 9 reproducer found nothing"
   | Fuzzer.Screened -> Alcotest.fail "unexpectedly screened"
   | Fuzzer.Discarded r -> Alcotest.failf "discarded: %s" (Fault.to_string r));
@@ -208,13 +194,8 @@ let uv5_src = {|
 let test_uv5_reproducer () =
   match fuzz_crafted ~seed:5 Defense.cleanupspec_patched uv5_src with
   | Fuzzer.Found v ->
-      let ex =
-        Executor.create ~boot_insts:500 ~mode:Executor.Opt Defense.cleanupspec_patched
-          (Stats.create ())
-      in
-      Executor.start_program ex;
       checkb "classified UV5" true
-        (Analysis.classify_violation ex v = Analysis.Too_much_cleaning_uv5)
+        (fst (Analysis.sign ~boot_insts:500 v) = Analysis.Too_much_cleaning_uv5)
   | Fuzzer.No_violation _ -> Alcotest.fail "uv5 reproducer found nothing"
   | Fuzzer.Screened -> Alcotest.fail "unexpectedly screened"
   | Fuzzer.Discarded r -> Alcotest.failf "discarded: %s" (Fault.to_string r)

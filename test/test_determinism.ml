@@ -4,7 +4,7 @@
    must leave every trace byte-identical (trace invisibility).
 
    Deterministic counters are the uarch.* hardware counts and fuzzer.*
-   campaign counts; engine.* metrics legitimately differ between backends
+   campaign counts; engine.* metrics legitimately differ between engine kinds
    (that is what they measure), and timers/histograms carry wall-clock
    time, so both are excluded from cross-engine comparison. *)
 
@@ -74,7 +74,7 @@ let test_telemetry_invisible () =
 let test_same_engine_repeatable () =
   let a = run_campaign Engine.Pooled in
   let b = run_campaign Engine.Pooled in
-  (* same backend: even the engine.* counters must repeat exactly *)
+  (* same engine kind: even the engine.* counters must repeat exactly *)
   let counters r =
     (Obs.Snapshot.filter
        (fun n ->
@@ -131,12 +131,12 @@ let check_outcomes_equal ~what a b =
         (fun i xa ->
           let ctx = Printf.sprintf "%s: program %d input %d" what p i in
           match (xa, ob.(i)) with
-          | Some (xa : Executor.outcome), Some xb ->
+          | Some (xa : Engine.outcome), Some xb ->
               checkb (ctx ^ ": utrace byte-identical") true
-                (Utrace.equal xa.Executor.trace xb.Executor.trace);
-              checki (ctx ^ ": cycles") xa.Executor.cycles xb.Executor.cycles;
+                (Utrace.equal xa.Engine.trace xb.Engine.trace);
+              checki (ctx ^ ": cycles") xa.Engine.cycles xb.Engine.cycles;
               checkb (ctx ^ ": sim_stats") true
-                (xa.Executor.sim_stats = xb.Executor.sim_stats)
+                (xa.Engine.sim_stats = xb.Engine.sim_stats)
           | None, None -> ()
           | _ -> Alcotest.fail (ctx ^ ": one engine faulted, the other did not"))
         oa)

@@ -1,5 +1,5 @@
-(* Engine API tests: the pooled (snapshot/restore) backend must be
-   trace-indistinguishable from the naive (rebuild) backend, checkpoint
+(* Engine API tests: the pooled (snapshot/restore) engine must be
+   trace-indistinguishable from the naive (rebuild) engine, checkpoint
    rewinds must be deterministic across arbitrary reuse counts, and chaos
    injection must classify faults correctly through the batched path. *)
 
@@ -49,7 +49,7 @@ let batches_agree name (a : Engine.batch) (b : Engine.batch) =
           checkb
             (Printf.sprintf "%s trace[%d]" name i)
             true
-            (Utrace.equal oa.Executor.trace ob.Executor.trace)
+            (Utrace.equal oa.Engine.trace ob.Engine.trace)
       | _ -> Alcotest.failf "%s outcome[%d] presence mismatch" name i)
     a.Engine.outcomes
 
@@ -187,25 +187,25 @@ let test_chaos_crash () =
   | _ -> Alcotest.fail "expected the crash to be contained as Discarded"
 
 (* ------------------------------------------------------------------ *)
-(* Unified Executor.run                                                *)
+(* Unified Engine.run                                                *)
 (* ------------------------------------------------------------------ *)
 
 let test_run_variants () =
   let defense = Defense.baseline in
-  let ex = Executor.create ~boot_insts:boot ~mode:Executor.Opt defense (Stats.create ()) in
+  let ex = Engine.create ~boot_insts:boot ~mode:Executor.Opt defense (Stats.create ()) in
   let rng = Rng.create ~seed:7 in
   let flat = Generator.generate_flat rng in
   let input = Input.generate rng ~pages:1 in
-  Executor.start_program ex;
-  let o = Executor.run ex flat input in
-  checkb "unlogged runs leave events empty" true (o.Executor.events = []);
-  let o_ctx = Executor.run ex ~context:o.Executor.context flat input in
+  Engine.start_program ex;
+  let o = Engine.run ex flat input in
+  checkb "unlogged runs leave events empty" true (o.Engine.events = []);
+  let o_ctx = Engine.run ex ~context:o.Engine.context flat input in
   checkb "context rerun reproduces the trace" true
-    (Utrace.equal o.Executor.trace o_ctx.Executor.trace);
-  let o_log = Executor.run ex ~context:o.Executor.context ~log:true flat input in
+    (Utrace.equal o.Engine.trace o_ctx.Engine.trace);
+  let o_log = Engine.run ex ~context:o.Engine.context ~log:true flat input in
   checkb "logged rerun keeps the trace" true
-    (Utrace.equal o.Executor.trace o_log.Executor.trace);
-  checkb "logged rerun fills events" true (o_log.Executor.events <> [])
+    (Utrace.equal o.Engine.trace o_log.Engine.trace);
+  checkb "logged rerun fills events" true (o_log.Engine.events <> [])
 
 (* ------------------------------------------------------------------ *)
 (* Engine accounting                                                   *)
@@ -221,7 +221,7 @@ let test_engine_stats () =
     Engine.create ~boot_insts:boot ~kind:Engine.Pooled ~mode:Executor.Naive defense
       (Stats.create ())
   in
-  checks "pooled name" "pooled" (Engine.name pooled);
+  checks "pooled name" "pooled" (Engine.kind_name (Engine.kind pooled));
   let b1 = Engine.run_batch pooled flat inputs in
   let b2 = Engine.run_batch pooled flat inputs in
   checkb "clean batches" true (b1.Engine.batch_fault = None && b2.Engine.batch_fault = None);
@@ -235,7 +235,7 @@ let test_engine_stats () =
     Engine.create ~boot_insts:boot ~kind:Engine.Naive ~mode:Executor.Naive defense
       (Stats.create ())
   in
-  checks "naive name" "naive" (Engine.name naive);
+  checks "naive name" "naive" (Engine.kind_name (Engine.kind naive));
   ignore (Engine.run_batch naive flat inputs);
   ignore (Engine.run_batch naive flat inputs);
   let s = Engine.stats naive in
@@ -248,6 +248,47 @@ let test_engine_stats () =
   in
   Engine.warm warmed;
   checki "warm boots the pool" 1 (Engine.stats warmed).Engine.sims_created
+
+(* The engine.* metric names are a public surface (--metrics, bench
+   reports); both kinds register the same set against a live registry. *)
+let test_metric_names () =
+  let open Amulet_obs in
+  let defense = Defense.baseline in
+  let flat = Reproducers.flat Reproducers.uv3 in
+  let rng = Rng.create ~seed:9 in
+  let inputs = Array.init 2 (fun _ -> Input.generate rng ~pages:1) in
+  let metrics = Obs.create () in
+  List.iter
+    (fun kind ->
+      let e =
+        Engine.create ~boot_insts:boot ~kind ~mode:Executor.Opt defense
+          (Stats.create ~metrics ())
+      in
+      ignore (Engine.run_batch e flat inputs))
+    [ Engine.Pooled; Engine.Naive ];
+  let s = Obs.Snapshot.of_registry metrics in
+  let engine_names l =
+    List.filter
+      (fun n -> String.length n > 7 && String.sub n 0 7 = "engine.")
+      (List.map fst l)
+  in
+  let checkl = Alcotest.(check (list string)) in
+  checkl "counters"
+    [
+      "engine.batches";
+      "engine.inputs_run";
+      "engine.sim.decodes";
+      "engine.sim.rebuilds";
+      "engine.sim.restores";
+    ]
+    (engine_names s.Obs.Snapshot.counters);
+  checkl "timers"
+    [ "engine.time.prime"; "engine.time.rebuild"; "engine.time.restore" ]
+    (engine_names s.Obs.Snapshot.timers);
+  checkl "gauges" [ "engine.pool.reuse_depth" ] (engine_names s.Obs.Snapshot.gauges);
+  checkl "histograms" [ "engine.batch.latency" ]
+    (engine_names s.Obs.Snapshot.histograms);
+  checki "both batches counted" 2 (Obs.Snapshot.counter_value s "engine.batches")
 
 (* ------------------------------------------------------------------ *)
 
@@ -271,5 +312,6 @@ let () =
         [
           Alcotest.test_case "run variants" `Quick test_run_variants;
           Alcotest.test_case "engine stats" `Quick test_engine_stats;
+          Alcotest.test_case "engine metric names" `Quick test_metric_names;
         ] );
     ]
