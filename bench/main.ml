@@ -566,7 +566,9 @@ let extension_parallel () =
       let t0 = Unix.gettimeofday () in
       let r =
         if instances = 1 then Campaign.run spec
-        else Campaign.run_parallel ~instances spec
+        else
+          let rep = Sweep.run ~domains:instances (Sweep.instances instances spec) in
+          (List.hd rep.Sweep.rows).Sweep.result
       in
       Format.printf
         "%2d instance(s): %4d test cases, %3d violations, %6.0f tc/s aggregate, %.1f s wall@."

@@ -432,28 +432,34 @@ let fuzz_cmd =
       | Some _ -> Amulet_obs.Obs.create ()
       | None -> Amulet_obs.Obs.noop
     in
-    let r =
+    (* -j n: an n-shard sweep of this one preset *)
+    let r, telemetry =
       if parallel > 1 then begin
         if journal_path <> None then
           Format.eprintf
             "note: --journal/--resume apply to single-instance campaigns; \
              ignored with --parallel@.";
-        Campaign.run_parallel ~instances:parallel ~metrics spec
+        let report =
+          Sweep.run ~domains:parallel ~metrics (Sweep.instances parallel spec)
+        in
+        ((List.hd report.Sweep.rows).Sweep.result, report.Sweep.metrics)
       end
       else begin
         let n = ref 0 in
-        Campaign.run ?journal_path ~checkpoint_every ?resume:resume_journal
-          ~metrics spec ~on_violation:(fun v ->
-            incr n;
-            if not json then
-              Format.printf "@.--- violation %d ---@.%a@." !n Violation.pp v)
+        let r =
+          Campaign.run ?journal_path ~checkpoint_every ?resume:resume_journal
+            ~metrics spec ~on_violation:(fun v ->
+              incr n;
+              if not json then
+                Format.printf "@.--- violation %d ---@.%a@." !n Violation.pp v)
+        in
+        (r, r.Campaign.metrics)
       end
     in
     (match metrics_out with
     | None -> ()
     | Some path ->
-        Output.write_file path
-          (Amulet_obs.Obs.Snapshot.to_json r.Campaign.metrics);
+        Output.write_file path (Amulet_obs.Obs.Snapshot.to_json telemetry);
         say "telemetry written to %s@." path);
     if parallel > 1 && not json then
       List.iteri
@@ -594,7 +600,9 @@ let sweep_cmd =
         else Format.printf "%a" Sweep.pp report;
         if report.Sweep.crashed > 0 then Output.exit_fault
         else if
-          List.exists (fun r -> r.Sweep.violations <> []) report.Sweep.rows
+          List.exists
+            (fun r -> Campaign.detected r.Sweep.result)
+            report.Sweep.rows
         then Output.exit_violation
         else Output.exit_clean
   in

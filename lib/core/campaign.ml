@@ -6,8 +6,8 @@
     Campaigns are supervised: every round is reseeded from (campaign seed,
     round index) so it is reproducible in isolation, misbehaving rounds
     degrade to classified {!Fault.t} discards, progress can be journaled
-    crash-safely and resumed, and parallel instances are restarted on crash
-    and merged defensively. *)
+    crash-safely and resumed, and the shards of a parallel run ({!Sweep})
+    merge into one result through {!merge}. *)
 
 open Amulet_defenses
 module Obs = Amulet_obs.Obs
@@ -211,16 +211,11 @@ let run ?(on_violation = fun (_ : Violation.t) -> ())
   }
 
 (* ------------------------------------------------------------------ *)
-(* Parallel campaigns                                                  *)
+(* Merging shards                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Merge surviving instances' results.  Total when [results] is empty — an
-   all-crashed campaign degrades to a structured failed result (zero
-   programs, the crashes in [fault_counts]) instead of aborting the caller:
-   [fallback_contract] supplies the name no survivor can, and [elapsed] the
-   wall clock no instance reported. *)
-let merge_results (defense : Defense.t) ~fallback_contract ~elapsed crash_counts
-    results : result =
+let merge (defense : Defense.t) ~fallback_contract ~elapsed ~crashed results :
+    result =
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
   let duration =
     match results with
@@ -241,7 +236,7 @@ let merge_results (defense : Defense.t) ~fallback_contract ~elapsed crash_counts
   let fault_counts =
     let c = Fault.Counters.create () in
     List.iter (fun r -> Fault.Counters.add_list c r.fault_counts) results;
-    Fault.Counters.merge c crash_counts;
+    Fault.Counters.record_class c ~n:crashed Fault.C_instance_crash;
     Fault.Counters.to_list c
   in
   let test_cases = sum (fun r -> r.test_cases) in
@@ -266,76 +261,6 @@ let merge_results (defense : Defense.t) ~fallback_contract ~elapsed crash_counts
         (fun acc r -> Obs.Snapshot.merge acc r.metrics)
         Obs.Snapshot.empty results;
   }
-
-(** Run [instances] independent campaign instances on parallel domains —
-    the paper's methodology (16 or 100 parallel AMuLeT instances) — each
-    with a distinct seed derived from [spec.seed], and merge the results.
-
-    Supervised: a crashing instance never takes down the others — its
-    domain is joined defensively, the crash is recorded as an
-    {!Fault.Instance_crash}, and the instance is restarted with a freshly
-    derived seed up to [retries] times.  The merge covers every instance
-    that completed; if {e all} instances exhaust their retries the call
-    still returns a structured (failed) result whose [fault_counts] carry
-    the crashes, rather than aborting a long campaign.  [instance_spec]
-    overrides the per-instance spec derivation (supervision tests use it
-    to plant a crashing instance).  [metrics], when live, makes each domain
-    record telemetry into a private registry; the merged snapshot lands in
-    [result.metrics]. *)
-let run_parallel ?(instances = 4) ?(retries = 2) ?instance_spec
-    ?(metrics = Obs.noop) (spec : Run_spec.t) : result =
-  assert (instances >= 1);
-  let defense = spec.Run_spec.defense in
-  let started = Obs.Clock.now_s () in
-  (* domains must not share one registry (unsynchronised counters); each
-     instance gets its own and the snapshots merge after the joins *)
-  let telemetry = Obs.is_enabled metrics in
-  let spec_of i attempt =
-    let base =
-      match instance_spec with
-      | Some f -> f i
-      | None -> Run_spec.with_seed spec (spec.Run_spec.seed + (i * 7919))
-    in
-    (* restarts must not replay the crashing seed *)
-    Run_spec.with_seed base (base.Run_spec.seed + (attempt * 104729))
-  in
-  let crash_counts = Fault.Counters.create () in
-  let results = Array.make instances None in
-  let pending = ref (List.init instances (fun i -> (i, 0))) in
-  while !pending <> [] do
-    let batch = !pending in
-    pending := [];
-    let domains =
-      List.map
-        (fun (i, attempt) ->
-          ( i,
-            attempt,
-            Domain.spawn (fun () ->
-                let dm = if telemetry then Obs.create () else Obs.noop in
-                try Ok (run ~metrics:dm (spec_of i attempt))
-                with exn -> Error (Fault.exn_info exn)) ))
-        batch
-    in
-    List.iter
-      (fun (i, attempt, d) ->
-        let outcome =
-          (* the spawned thunk catches everything, but join defensively
-             anyway: a domain that dies outside the thunk (e.g. out of
-             memory) must not discard the other instances' results *)
-          try Domain.join d with exn -> Error (Fault.exn_info exn)
-        in
-        match outcome with
-        | Ok r -> results.(i) <- Some r
-        | Error info ->
-            Fault.Counters.record crash_counts (Fault.Instance_crash info);
-            if attempt < retries then pending := (i, attempt + 1) :: !pending)
-      domains
-  done;
-  merge_results defense
-    ~fallback_contract:(Run_spec.contract_name spec)
-    ~elapsed:(Obs.Clock.elapsed_s ~since:started)
-    crash_counts
-    (List.filter_map Fun.id (Array.to_list results))
 
 let detected r = r.violations <> []
 

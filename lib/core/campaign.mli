@@ -24,7 +24,7 @@ type result = {
   corpus : string option;
       (** final guided-fuzzing corpus checkpoint
           ({!Amulet_corpus.Corpus.to_string}); [None] for [Random] specs.
-          Parallel runs keep the first surviving instance's corpus. *)
+          A {!merge}d result keeps the first completed shard's corpus. *)
   metrics : Amulet_obs.Obs.Snapshot.t;
       (** telemetry delta accumulated over the campaign (empty unless a
           live registry was passed in) *)
@@ -62,25 +62,21 @@ val run :
     final checkpoint ([result.budget_exhausted] set), so a resume replays
     the interrupted round instead of double-counting it. *)
 
-val run_parallel :
-  ?instances:int ->
-  ?retries:int ->
-  ?instance_spec:(int -> Run_spec.t) ->
-  ?metrics:Amulet_obs.Obs.t ->
-  Run_spec.t ->
+val merge :
+  Defense.t ->
+  fallback_contract:string ->
+  elapsed:float ->
+  crashed:int ->
+  result list ->
   result
-(** The paper's parallel methodology: independent instances on OCaml
-    domains, distinct derived seeds, merged results (durations combine as
-    the slowest instance's wall clock).  Supervised: crashed instances are
-    recorded as {!Fault.Instance_crash}, restarted on fresh seeds up to
-    [retries] (default 2) times, and the merge covers every surviving
-    instance — one crashing domain no longer discards the others' results.
-    If {e every} instance exhausts its retries, the call still returns a
-    structured failed result: zero programs and violations, the crashes
-    classified in [fault_counts] — never an exception.  [instance_spec]
-    overrides per-instance spec derivation (supervision tests).
-    [metrics], when live, gives each domain a private registry and merges
-    the per-instance snapshots into [result.metrics]. *)
+(** [merge defense ~fallback_contract ~elapsed ~crashed results]: the one
+    sum of shard results, used by every parallel path ({!Sweep} rows,
+    [fuzz -j]).  Counts, class tallies and fault counts add up, with
+    [crashed] shards recorded as {!Fault.C_instance_crash}; violations and
+    detection times concatenate in list order; the duration is the slowest
+    shard's.  Total on [[]]: an all-crashed group yields zero work,
+    [fallback_contract] as its contract name and [elapsed] as its
+    duration. *)
 
 val detected : result -> bool
 val avg_detection_time : result -> float option

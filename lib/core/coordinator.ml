@@ -453,23 +453,10 @@ let serve (t : t) (jobs : Sweep.job list) : report =
          slots)
   in
   let rows =
-    (* group shards by preset, preserving first-appearance job order —
-       exactly the in-process scheduler's merge *)
-    let order = ref [] in
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun s ->
-        let name = s.job.Sweep.spec.Run_spec.defense.Defense.name in
-        if not (Hashtbl.mem tbl name) then begin
-          order := name :: !order;
-          Hashtbl.replace tbl name (ref [])
-        end;
-        let group = Hashtbl.find tbl name in
-        group := s :: !group)
-      shards;
-    List.rev_map
-      (fun name ->
-        let group = List.rev !(Hashtbl.find tbl name) in
+    (* the in-process scheduler's grouping, so both paths merge alike *)
+    List.map
+      (fun group ->
+        let spec = (List.hd group).job.Sweep.spec in
         let results =
           List.filter_map
             (fun s -> match s.status with Done r -> Some r | Abandoned _ -> None)
@@ -477,20 +464,17 @@ let serve (t : t) (jobs : Sweep.job list) : report =
         in
         let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
         {
-          Sweep.Ident.defense = name;
+          Sweep.Ident.defense = spec.Run_spec.defense.Defense.name;
           contract =
             (match results with
             | r :: _ -> r.Proto.contract_name
-            | [] -> (
-                match group with
-                | s :: _ -> Run_spec.contract_name s.job.Sweep.spec
-                | [] -> ""));
+            | [] -> Run_spec.contract_name spec);
           rounds = sum (fun r -> r.Proto.rounds_done);
           discarded = sum (fun r -> r.Proto.discarded);
           test_cases = sum (fun r -> r.Proto.test_cases);
           violations = List.concat_map (fun r -> r.Proto.violations) results;
         })
-      !order
+      (Sweep.by_preset (fun s -> s.job) shards)
   in
   List.iter
     (fun s ->

@@ -273,6 +273,17 @@ let run t ?context ?(log = false) flat (input : Input.t) =
           prime t sim;
           runner t sim flat input)
 
+(* Definition 2.1 fixes the starting context mu: following the paper, each
+   candidate context is tried in turn, and a difference that persists under
+   one shared context is a real, input-caused leak. *)
+let validate t flat a b contexts =
+  let try_ctx ctx =
+    let ta = (run t ~context:ctx flat a).trace in
+    let tb = (run t ~context:ctx flat b).trace in
+    if Utrace.equal ta tb then None else Some (ta, tb, ctx)
+  in
+  List.find_map try_ctx contexts
+
 let run_batch t ?(check = fun () -> ()) flat inputs =
   let started = Obs.Clock.now_s () in
   start_program t;

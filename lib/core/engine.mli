@@ -89,6 +89,20 @@ val run :
     reproduced microarchitectural starting context.  [?log] (default
     [false]) enables the debug event log and fills [outcome.events]. *)
 
+val validate :
+  t ->
+  Program.flat ->
+  Input.t ->
+  Input.t ->
+  Simulator.context list ->
+  (Utrace.t * Utrace.t * Simulator.context) option
+(** [validate t flat a b contexts]: the validation rule.  Re-run both
+    inputs from each context in turn (typically the two inputs' own
+    starting contexts, A's first) and return the first trace pair that
+    still differs, with its context; [None] when every shared context
+    makes the traces agree (the difference was context drift, not a
+    leak). *)
+
 val run_batch : t -> ?check:(unit -> unit) -> Program.flat -> Input.t array -> batch
 (** {!start_program}, then execute all inputs of the program against the
     warm simulator in a single pass.  [check] runs before each input

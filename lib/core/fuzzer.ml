@@ -320,28 +320,6 @@ let classes_of cases =
     cases;
   Hashtbl.fold (fun h members acc -> (h, List.rev members) :: acc) tbl []
 
-(* Validate a candidate pair by re-running both inputs from a common,
-   exactly reproduced microarchitectural context (Definition 2.1 fixes the
-   context mu).  Following the paper, each input's starting context is tried
-   in turn — a difference that persists under either shared context is a
-   real, input-caused leak; differences explained entirely by the drifting
-   Opt-mode context disappear here and are rejected. *)
-let validate t flat (a : test_case) (b : test_case) =
-  let try_ctx ctx =
-    let ta = (Engine.run t.engine ~context:ctx flat a.input).Engine.trace in
-    let tb = (Engine.run t.engine ~context:ctx flat b.input).Engine.trace in
-    if Utrace.equal ta tb then None else Some (ta, tb, ctx)
-  in
-  let ctxs =
-    List.filter_map
-      (fun (o : Engine.outcome option) ->
-        Option.map (fun o -> o.Engine.context) o)
-      [ a.outcome; b.outcome ]
-  in
-  List.fold_left
-    (fun acc ctx -> match acc with Some _ -> acc | None -> try_ctx ctx)
-    None ctxs
-
 (* Aggregate one round's deterministic coverage feedback: contract-trace
    shape/class structure from the model, per-run pipeline totals from the
    engine outcomes.  Case order is fixed (base inputs then their
@@ -413,8 +391,12 @@ let test_program_exn t (flat : Program.flat) dl : round_result =
                         | Some oa, Some ob ->
                             if not (Utrace.equal oa.Engine.trace ob.Engine.trace)
                             then
-                              (* candidate: validate under a common context *)
-                              (match validate t flat a b with
+                              (* candidate: re-run both from each input's
+                                 starting context; context drift vanishes *)
+                              (match
+                                 Engine.validate t.engine flat a.input b.input
+                                   [ oa.Engine.context; ob.Engine.context ]
+                               with
                               | Some (ta, tb, ctx) -> candidate := Some (a, b, ta, tb, ctx)
                               | None -> ())
                         | _ -> ())

@@ -38,12 +38,7 @@ let still_violates ~defense ~contract ~sim_config flat (a : Input.t) (b : Input.
   Engine.start_program ex;
   let oa = Engine.run ex flat a in
   let ob = Engine.run ex flat b in
-  let differs ctx =
-    let ta = (Engine.run ex ~context:ctx flat a).Engine.trace in
-    let tb = (Engine.run ex ~context:ctx flat b).Engine.trace in
-    not (Utrace.equal ta tb)
-  in
-  differs oa.Engine.context || differs ob.Engine.context
+  Engine.validate ex flat a b [ oa.Engine.context; ob.Engine.context ] <> None
 
 let nop_count flat =
   Array.fold_left

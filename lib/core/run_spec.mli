@@ -5,9 +5,9 @@
     [generation], [seed]) and how to execute it ([mode], [engine],
     [trace_format], [boot_insts], [sim_config]).
 
-    {!Fuzzer.create} (which keeps the spec itself),
-    [Campaign.run]/[Campaign.run_parallel] and [Sweep] all consume a
-    [Run_spec.t], and the CLI builds one per subcommand.  Build specs with
+    {!Fuzzer.create} (which keeps the spec itself), [Campaign.run] and
+    [Sweep] all consume a [Run_spec.t], and the CLI builds one per
+    subcommand.  Build specs with
     {!make} and refine them by functional update
     ([{ spec with seed = ... }] — every field is exposed). *)
 

@@ -54,7 +54,7 @@ let select patterns =
                Defense.all))
 
 (* The shard seed depends only on (sweep seed, preset index, shard index):
-   the same derivation style as Campaign.round_seed / run_parallel, and
+   the same derivation style as Campaign.round_seed and {!instances}, and
    never on which domain picks the job up. *)
 let shard_seed ~seed pi shard = seed + ((pi + 1) * 2654435761) + (shard * 7919)
 
@@ -81,6 +81,12 @@ let jobs ?(presets = Defense.all) ?(shards_per_preset = 1) ?(rounds = 20)
              { id = !id; shard = s; spec }))
        presets)
 
+(* [fuzz -j n]: instance i keeps the spec and runs at seed + i*7919, so
+   instance 0 is the single-instance campaign. *)
+let instances n (spec : Run_spec.t) =
+  List.init n (fun i ->
+      { id = i; shard = i; spec = Run_spec.with_seed spec (spec.Run_spec.seed + (i * 7919)) })
+
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -89,21 +95,12 @@ type outcome = Completed of Campaign.result | Crashed of Fault.exn_info
 type shard = { job : job; outcome : outcome; wall_s : float }
 
 type row = {
-  defense : Defense.t;
-  contract_name : string;
+  result : Campaign.result;
   shards : int;
   crashed_shards : int;
-  rounds : int;
-  discarded : int;
-  test_cases : int;
-  violations : Violation.t list;
-  violation_classes : (Analysis.leak_class * int) list;
-  fault_counts : (Fault.cls * int) list;
-  quarantined : int;
   wall_s : float;
   inputs_per_sec : float;
   time_to_first_leak : float option;
-  budget_exhausted : bool;
 }
 
 type report = {
@@ -176,6 +173,57 @@ let locked lock f =
   | exception exn ->
       Mutex.unlock lock;
       raise exn
+
+let by_preset job_of items =
+  let order = ref [] in
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun x ->
+      let name = (job_of x).spec.Run_spec.defense.Defense.name in
+      if not (Hashtbl.mem tbl name) then begin
+        order := name :: !order;
+        Hashtbl.replace tbl name (ref [])
+      end;
+      let group = Hashtbl.find tbl name in
+      group := x :: !group)
+    items;
+  List.rev_map (fun name -> List.rev !(Hashtbl.find tbl name)) !order
+
+(* One preset's shards (non-empty, in job order) merged into a row. *)
+let row_of (group : shard list) =
+  let spec = (List.hd group).job.spec in
+  let completed =
+    List.filter_map
+      (fun s -> match s.outcome with Completed r -> Some r | Crashed _ -> None)
+      group
+  in
+  let wall_s = List.fold_left (fun acc (s : shard) -> acc +. s.wall_s) 0. group in
+  let crashed_shards = List.length group - List.length completed in
+  let result =
+    Campaign.merge spec.Run_spec.defense
+      ~fallback_contract:(Run_spec.contract_name spec)
+      ~elapsed:wall_s ~crashed:crashed_shards completed
+  in
+  let compute = List.fold_left (fun acc r -> acc +. r.Campaign.duration) 0. completed in
+  {
+    result;
+    shards = List.length group;
+    crashed_shards;
+    wall_s;
+    inputs_per_sec =
+      (if compute > 0. then float_of_int result.Campaign.test_cases /. compute
+       else 0.);
+    time_to_first_leak =
+      List.fold_left
+        (fun acc r ->
+          match r.Campaign.detection_times with
+          | first :: _ -> (
+              match acc with
+              | None -> Some first
+              | Some t -> Some (Float.min t first))
+          | [] -> acc)
+        None completed;
+  }
 
 let run ?(domains = 1) ?(metrics = Obs.noop) ?journal_dir
     ?(checkpoint_every = 10) js : report =
@@ -273,97 +321,8 @@ let run ?(domains = 1) ?(metrics = Obs.noop) ?journal_dir
             })
       js
   in
-  (* ---------------- deterministic merge, in job order ---------------- *)
-  let row_of (defense : Defense.t) group =
-    let completed =
-      List.filter_map
-        (fun s -> match s.outcome with Completed r -> Some r | Crashed _ -> None)
-        group
-    in
-    let sum f = List.fold_left (fun acc r -> acc + f r) 0 completed in
-    let sumf f = List.fold_left (fun acc r -> acc +. f r) 0. completed in
-    let wall_s = List.fold_left (fun acc (s : shard) -> acc +. s.wall_s) 0. group in
-    let test_cases = sum (fun r -> r.Campaign.test_cases) in
-    let merged_classes =
-      let tbl = Hashtbl.create 8 in
-      List.iter
-        (fun r ->
-          List.iter
-            (fun (c, k) ->
-              Hashtbl.replace tbl c
-                (k + Option.value (Hashtbl.find_opt tbl c) ~default:0))
-            r.Campaign.violation_classes)
-        completed;
-      Hashtbl.fold (fun c k acc -> (c, k) :: acc) tbl []
-    in
-    let fault_counts =
-      let c = Fault.Counters.create () in
-      List.iter (fun r -> Fault.Counters.add_list c r.Campaign.fault_counts) completed;
-      List.iter
-        (fun s ->
-          match s.outcome with
-          | Crashed info -> Fault.Counters.record c (Fault.Instance_crash info)
-          | Completed _ -> ())
-        group;
-      Fault.Counters.to_list c
-    in
-    let time_to_first_leak =
-      List.fold_left
-        (fun acc r ->
-          match r.Campaign.detection_times with
-          | first :: _ -> (
-              match acc with
-              | None -> Some first
-              | Some t -> Some (Float.min t first))
-          | [] -> acc)
-        None completed
-    in
-    {
-      defense;
-      contract_name =
-        (match completed with
-        | r :: _ -> r.Campaign.contract_name
-        | [] -> (
-            match group with
-            | s :: _ -> Run_spec.contract_name s.job.spec
-            | [] -> ""));
-      shards = List.length group;
-      crashed_shards = List.length group - List.length completed;
-      rounds = sum (fun r -> r.Campaign.programs_run);
-      discarded = sum (fun r -> r.Campaign.discarded_programs);
-      test_cases;
-      violations = List.concat_map (fun r -> r.Campaign.violations) completed;
-      violation_classes = merged_classes;
-      fault_counts;
-      quarantined = sum (fun r -> r.Campaign.quarantined);
-      wall_s;
-      inputs_per_sec =
-        (let compute = sumf (fun r -> r.Campaign.duration) in
-         if compute > 0. then float_of_int test_cases /. compute else 0.);
-      time_to_first_leak;
-      budget_exhausted = List.exists (fun r -> r.Campaign.budget_exhausted) completed;
-    }
-  in
-  let rows =
-    (* group shards by preset, preserving first-appearance order *)
-    let order = ref [] in
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun s ->
-        let name = s.job.spec.Run_spec.defense.Defense.name in
-        if not (Hashtbl.mem tbl name) then begin
-          order := name :: !order;
-          Hashtbl.replace tbl name (s.job.spec.Run_spec.defense, ref [])
-        end;
-        let _, group = Hashtbl.find tbl name in
-        group := s :: !group)
-      shards;
-    List.rev_map
-      (fun name ->
-        let defense, group = Hashtbl.find tbl name in
-        row_of defense (List.rev !group))
-      !order
-  in
+  (* deterministic merge, in job order *)
+  let rows = List.map row_of (by_preset (fun s -> s.job) shards) in
   let crashed =
     List.length
       (List.filter (fun s -> match s.outcome with Crashed _ -> true | _ -> false) shards)
@@ -375,7 +334,8 @@ let run ?(domains = 1) ?(metrics = Obs.noop) ?journal_dir
     jobs = n;
     crashed;
     wall_s = Obs.Clock.elapsed_s ~since:started;
-    test_cases = List.fold_left (fun acc (r : row) -> acc + r.test_cases) 0 rows;
+    test_cases =
+      List.fold_left (fun acc (r : row) -> acc + r.result.Campaign.test_cases) 0 rows;
     metrics =
       List.fold_left (fun acc s -> Obs.Snapshot.merge acc s) Obs.Snapshot.empty
         snapshots;
@@ -454,14 +414,14 @@ end
 
 let ident_rows report =
   List.map
-    (fun r ->
+    (fun { result = r; _ } ->
       {
-        Ident.defense = r.defense.Defense.name;
-        contract = r.contract_name;
-        rounds = r.rounds;
-        discarded = r.discarded;
-        test_cases = r.test_cases;
-        violations = List.map Ident.of_violation r.violations;
+        Ident.defense = r.Campaign.defense.Defense.name;
+        contract = r.Campaign.contract_name;
+        rounds = r.Campaign.programs_run;
+        discarded = r.Campaign.discarded_programs;
+        test_cases = r.Campaign.test_cases;
+        violations = List.map Ident.of_violation r.Campaign.violations;
       })
     report.rows
 
@@ -471,27 +431,28 @@ let to_json report =
   let counts name l =
     Json.Obj (List.map (fun (c, k) -> (name c, Json.Int k)) l)
   in
-  let row r =
+  let row row =
+    let r = row.result in
     Json.Obj
       [
-        ("defense", Json.Str r.defense.Defense.name);
-        ("contract", Json.Str r.contract_name);
-        ("shards", Json.Int r.shards);
-        ("crashed_shards", Json.Int r.crashed_shards);
-        ("rounds", Json.Int r.rounds);
-        ("discarded", Json.Int r.discarded);
-        ("test_cases", Json.Int r.test_cases);
-        ("violations", Json.Int (List.length r.violations));
+        ("defense", Json.Str r.Campaign.defense.Defense.name);
+        ("contract", Json.Str r.Campaign.contract_name);
+        ("shards", Json.Int row.shards);
+        ("crashed_shards", Json.Int row.crashed_shards);
+        ("rounds", Json.Int r.Campaign.programs_run);
+        ("discarded", Json.Int r.Campaign.discarded_programs);
+        ("test_cases", Json.Int r.Campaign.test_cases);
+        ("violations", Json.Int (List.length r.Campaign.violations));
         ( "distinct_signatures",
-          Json.Int (Ident.distinct (List.map Ident.of_violation r.violations)) );
-        ("violation_classes", counts Analysis.class_name r.violation_classes);
-        ("faults", counts Fault.class_name r.fault_counts);
-        ("quarantined", Json.Int r.quarantined);
-        ("wall_s", Json.Float r.wall_s);
-        ("inputs_per_sec", Json.Float r.inputs_per_sec);
+          Json.Int (Ident.distinct (List.map Ident.of_violation r.Campaign.violations)) );
+        ("violation_classes", counts Analysis.class_name r.Campaign.violation_classes);
+        ("faults", counts Fault.class_name r.Campaign.fault_counts);
+        ("quarantined", Json.Int r.Campaign.quarantined);
+        ("wall_s", Json.Float row.wall_s);
+        ("inputs_per_sec", Json.Float row.inputs_per_sec);
         ( "time_to_first_leak",
-          Json.option (fun t -> Json.Float t) r.time_to_first_leak );
-        ("budget_exhausted", Json.Bool r.budget_exhausted);
+          Json.option (fun t -> Json.Float t) row.time_to_first_leak );
+        ("budget_exhausted", Json.Bool r.Campaign.budget_exhausted);
       ]
   in
   Json.to_string
@@ -515,16 +476,17 @@ let pp fmt report =
   Format.fprintf fmt "  %-22s %-9s %6s %6s %8s %6s %9s %8s@." "defense"
     "contract" "shards" "rounds" "tc" "viol" "tc/s" "ttfl";
   List.iter
-    (fun r ->
+    (fun row ->
+      let r = row.result in
       Format.fprintf fmt "  %-22s %-9s %3d%s %6d %8d %6d %9.0f %8s%s@."
-        r.defense.Defense.name r.contract_name r.shards
-        (if r.crashed_shards > 0 then Printf.sprintf "(%d!)" r.crashed_shards
+        r.Campaign.defense.Defense.name r.Campaign.contract_name row.shards
+        (if row.crashed_shards > 0 then Printf.sprintf "(%d!)" row.crashed_shards
          else "   ")
-        r.rounds r.test_cases
-        (List.length r.violations)
-        r.inputs_per_sec
-        (match r.time_to_first_leak with
+        r.Campaign.programs_run r.Campaign.test_cases
+        (List.length r.Campaign.violations)
+        row.inputs_per_sec
+        (match row.time_to_first_leak with
         | Some t -> Printf.sprintf "%.2fs" t
         | None -> "-")
-        (if r.budget_exhausted then "  [budget]" else ""))
+        (if r.Campaign.budget_exhausted then "  [budget]" else ""))
     report.rows

@@ -40,6 +40,11 @@ val jobs :
     the derivation depends only on (sweep seed, preset index, shard index),
     never on scheduling. *)
 
+val instances : int -> Run_spec.t -> job list
+(** [instances n spec]: the [fuzz -j n] jobs — [n] shards of [spec]'s one
+    preset, shard [i] at seed [spec.seed + i * 7919] (shard 0 is the
+    single-instance campaign). *)
+
 type outcome =
   | Completed of Campaign.result
   | Crashed of Fault.exn_info
@@ -48,22 +53,15 @@ type outcome =
 type shard = { job : job; outcome : outcome; wall_s : float }
 
 type row = {
-  defense : Defense.t;
-  contract_name : string;
+  result : Campaign.result;
+      (** the preset's completed shards merged by {!Campaign.merge}, in job
+          order; crashed shards count as {!Fault.C_instance_crash} *)
   shards : int;
   crashed_shards : int;
-  rounds : int;  (** programs run across the preset's shards *)
-  discarded : int;
-  test_cases : int;
-  violations : Violation.t list;  (** concatenated in job order *)
-  violation_classes : (Analysis.leak_class * int) list;
-  fault_counts : (Fault.cls * int) list;
-  quarantined : int;
   wall_s : float;  (** summed shard wall clocks (compute, not elapsed) *)
-  inputs_per_sec : float;
+  inputs_per_sec : float;  (** test cases per second of shard compute *)
   time_to_first_leak : float option;
       (** min across shards of the first detection's latency, seconds *)
-  budget_exhausted : bool;
 }
 
 type report = {
@@ -89,6 +87,11 @@ module Engine_cache : sig
   val create : unit -> t
   val get : t -> metrics:Obs.t -> Run_spec.t -> (Engine.t * Stats.t) option
 end
+
+val by_preset : ('a -> job) -> 'a list -> 'a list list
+(** Group items by their job's preset: non-empty groups, presets in
+    first-appearance order, items in list order within a group — the merge
+    order of {!run}'s rows and of the distributed {!Coordinator}'s. *)
 
 val run :
   ?domains:int ->

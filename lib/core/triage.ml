@@ -487,6 +487,219 @@ type report = {
 }
 
 (* ------------------------------------------------------------------ *)
+(* Standalone PoC files                                                *)
+(* ------------------------------------------------------------------ *)
+
+let starts_with prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+module Poc = struct
+  type t = {
+    stored : Violation_io.stored;
+    signature : string;
+    leak_class : string option;
+    mechanism : (string * mechanism_kind) option;
+    cluster_size : int;
+    expected_equal_ctrace : bool;
+    expected_ctrace_hash : int64;
+    expected_diff : string list;
+  }
+
+  let of_cluster (c : cluster) : t =
+    let f = c.representative in
+    {
+      stored =
+        { f.stored with Violation_io.signature = Some c.cluster_signature };
+      signature = c.cluster_signature;
+      leak_class = Option.map Analysis.class_name f.leak_class;
+      mechanism =
+        Option.map (fun m -> (m.mech_name, m.mech_kind)) f.mechanism;
+      cluster_size = c.count;
+      expected_equal_ctrace = f.ctrace.equal;
+      expected_ctrace_hash = f.ctrace.hash_a;
+      expected_diff = f.utrace_diff;
+    }
+
+  let hex_of_bytes b =
+    let buf = Buffer.create (2 * Bytes.length b) in
+    Bytes.iter
+      (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c)))
+      b;
+    Buffer.contents buf
+
+  (* Identical layout to {!Violation_io}'s input sections, so the core of
+     a PoC file parses with the violation parser. *)
+  let add_input buf label (i : Input.t) =
+    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+    add "[%s.regs]\n" label;
+    Array.iteri
+      (fun k v -> add "%s=0x%Lx\n" (Reg.name (Reg.of_index k)) v)
+      i.Input.regs;
+    add "[%s.mem]\n" label;
+    let hex = hex_of_bytes i.Input.mem in
+    let n = String.length hex in
+    let rec lines pos =
+      if pos < n then begin
+        add "%s\n" (String.sub hex pos (min 128 (n - pos)));
+        lines (pos + 128)
+      end
+    in
+    lines 0
+
+  let to_string (p : t) =
+    let buf = Buffer.create 4096 in
+    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+    let s = p.stored in
+    add "amulet-poc 1\n";
+    add "[meta]\n";
+    add "defense=%s\n" s.Violation_io.defense_name;
+    add "contract=%s\n" s.Violation_io.contract_name;
+    add "signature=%s\n" p.signature;
+    (match p.leak_class with Some c -> add "class=%s\n" c | None -> ());
+    (match p.mechanism with
+    | Some (name, kind) ->
+        add "mechanism=%s\n" name;
+        add "mechanism_kind=%s\n" (mechanism_kind_name kind)
+    | None -> ());
+    add "cluster_size=%d\n" p.cluster_size;
+    (match s.Violation_io.identity with
+    | Some (c, a, b) -> add "identity=0x%Lx,0x%Lx,0x%Lx\n" c a b
+    | None -> ());
+    add "reproduce=amulet reproduce <this-file>\n";
+    add "[program]\n";
+    Array.iter
+      (fun inst -> add "%s\n" (Inst.to_string inst))
+      s.Violation_io.program.Program.code;
+    add_input buf "input_a" s.Violation_io.input_a;
+    add_input buf "input_b" s.Violation_io.input_b;
+    add "[expected.ctrace]\n";
+    add "equal=%b\n" p.expected_equal_ctrace;
+    add "hash=0x%Lx\n" p.expected_ctrace_hash;
+    add "[expected.utrace]\n";
+    List.iter (fun l -> add "  %s\n" l) p.expected_diff;
+    Buffer.contents buf
+
+  let parse (lines : string list) : t =
+    (match lines with
+    | magic :: _ when starts_with "amulet-poc" magic -> ()
+    | _ -> raise (Violation_io.Format_error "missing PoC magic header"));
+    (* split off the [expected.*] tail; what precedes it is a valid
+       violation block once the magic line is swapped *)
+    let rec split core = function
+      | [] -> (List.rev core, [])
+      | l :: rest when starts_with "[expected." l ->
+          (List.rev core, l :: rest)
+      | l :: rest -> split (l :: core) rest
+    in
+    let core, expected = split [] (List.tl lines) in
+    let stored = Violation_io.parse ("amulet-violation 1" :: core) in
+    (* the extra meta keys the violation parser tolerates but ignores *)
+    let meta = Hashtbl.create 8 in
+    (try
+       List.iter
+         (fun l ->
+           if l = "[program]" then raise Exit
+           else
+             match String.index_opt l '=' with
+             | Some eq ->
+                 Hashtbl.replace meta (String.sub l 0 eq)
+                   (String.sub l (eq + 1) (String.length l - eq - 1))
+             | None -> ())
+         core
+     with Exit -> ());
+    let section = ref "" in
+    let equal = ref true in
+    let hash = ref 0L in
+    let diff = ref [] in
+    List.iter
+      (fun l ->
+        if starts_with "[" l then section := l
+        else
+          match !section with
+          | "[expected.ctrace]" -> (
+              match String.index_opt l '=' with
+              | Some eq -> (
+                  let k = String.sub l 0 eq
+                  and v = String.sub l (eq + 1) (String.length l - eq - 1) in
+                  match k with
+                  | "equal" -> equal := v = "true"
+                  | "hash" -> (
+                      match Int64.of_string_opt v with
+                      | Some h -> hash := h
+                      | None ->
+                          raise
+                            (Violation_io.Format_error ("bad hash: " ^ v)))
+                  | _ -> ())
+              | None -> ())
+          | "[expected.utrace]" ->
+              if String.length l >= 2 && String.sub l 0 2 = "  " then
+                diff := String.sub l 2 (String.length l - 2) :: !diff
+              else if String.trim l <> "" then
+                raise
+                  (Violation_io.Format_error ("bad expected diff line: " ^ l))
+          | _ -> ())
+      expected;
+    let signature =
+      match stored.Violation_io.signature with
+      | Some s -> s
+      | None -> raise (Violation_io.Format_error "PoC without signature")
+    in
+    let mechanism =
+      match Hashtbl.find_opt meta "mechanism" with
+      | None -> None
+      | Some name ->
+          let kind =
+            match Hashtbl.find_opt meta "mechanism_kind" with
+            | Some "patched-flag" -> Patched_flag
+            | Some "config-knob" -> Config_knob
+            | Some k ->
+                raise
+                  (Violation_io.Format_error ("bad mechanism kind: " ^ k))
+            | None -> Config_knob
+          in
+          Some (name, kind)
+    in
+    {
+      stored;
+      signature;
+      leak_class = Hashtbl.find_opt meta "class";
+      mechanism;
+      cluster_size =
+        (match Hashtbl.find_opt meta "cluster_size" with
+        | Some n -> ( match int_of_string_opt n with Some n -> n | None -> 1)
+        | None -> 1);
+      expected_equal_ctrace = !equal;
+      expected_ctrace_hash = !hash;
+      expected_diff = List.rev !diff;
+    }
+
+  let load path : t =
+    parse (In_channel.with_open_text path In_channel.input_lines)
+
+  let write ~dir (c : cluster) : string =
+    Violation_io.mkdir_p dir;
+    let path =
+      Filename.concat dir
+        (Printf.sprintf "poc%d_%s.amulet" c.rank
+           c.representative.defense_name)
+    in
+    let out = open_out path in
+    Fun.protect
+      ~finally:(fun () -> close_out out)
+      (fun () -> output_string out (to_string (of_cluster c)));
+    path
+
+  let replay ?l1d_ways ?mshrs ?sim_config (p : t) =
+    let f = explain ?l1d_ways ?mshrs ?sim_config p.stored in
+    match f.status with
+    | Not_reproduced -> `Not_reproduced
+    | Reproduced ->
+        if f.utrace_diff = p.expected_diff then `Match
+        else `Diff_mismatch f.utrace_diff
+end
+
+(* ------------------------------------------------------------------ *)
 (* Loading the stream                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -494,22 +707,13 @@ let first_line path =
   try In_channel.with_open_text path In_channel.input_line
   with Sys_error _ -> None
 
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-(* Poc parsing lives below; forward through a reference to keep the file
-   in pipeline order without mutual recursion boilerplate. *)
-let poc_stored_of_file : (string -> Violation_io.stored) ref =
-  ref (fun _ -> assert false)
-
 let stored_of_file path : (string * Violation_io.stored) list =
   match first_line path with
   | Some l when starts_with "amulet-violation" l -> (
       try [ (path, Violation_io.load path) ]
       with Violation_io.Format_error _ | Sys_error _ -> [])
   | Some l when starts_with "amulet-poc" l -> (
-      try [ (path, !poc_stored_of_file path) ]
+      try [ (path, (Poc.load path).Poc.stored) ]
       with Violation_io.Format_error _ | Sys_error _ -> [])
   | Some l when starts_with "amulet-journal" l -> (
       try
@@ -723,214 +927,3 @@ let pp_report fmt (r : report) =
           | None -> "-"))
       r.clusters
   end
-
-(* ------------------------------------------------------------------ *)
-(* Standalone PoC files                                                *)
-(* ------------------------------------------------------------------ *)
-
-module Poc = struct
-  type t = {
-    stored : Violation_io.stored;
-    signature : string;
-    leak_class : string option;
-    mechanism : (string * mechanism_kind) option;
-    cluster_size : int;
-    expected_equal_ctrace : bool;
-    expected_ctrace_hash : int64;
-    expected_diff : string list;
-  }
-
-  let of_cluster (c : cluster) : t =
-    let f = c.representative in
-    {
-      stored =
-        { f.stored with Violation_io.signature = Some c.cluster_signature };
-      signature = c.cluster_signature;
-      leak_class = Option.map Analysis.class_name f.leak_class;
-      mechanism =
-        Option.map (fun m -> (m.mech_name, m.mech_kind)) f.mechanism;
-      cluster_size = c.count;
-      expected_equal_ctrace = f.ctrace.equal;
-      expected_ctrace_hash = f.ctrace.hash_a;
-      expected_diff = f.utrace_diff;
-    }
-
-  let hex_of_bytes b =
-    let buf = Buffer.create (2 * Bytes.length b) in
-    Bytes.iter
-      (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c)))
-      b;
-    Buffer.contents buf
-
-  (* Identical layout to {!Violation_io}'s input sections, so the core of
-     a PoC file parses with the violation parser. *)
-  let add_input buf label (i : Input.t) =
-    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    add "[%s.regs]\n" label;
-    Array.iteri
-      (fun k v -> add "%s=0x%Lx\n" (Reg.name (Reg.of_index k)) v)
-      i.Input.regs;
-    add "[%s.mem]\n" label;
-    let hex = hex_of_bytes i.Input.mem in
-    let n = String.length hex in
-    let rec lines pos =
-      if pos < n then begin
-        add "%s\n" (String.sub hex pos (min 128 (n - pos)));
-        lines (pos + 128)
-      end
-    in
-    lines 0
-
-  let to_string (p : t) =
-    let buf = Buffer.create 4096 in
-    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    let s = p.stored in
-    add "amulet-poc 1\n";
-    add "[meta]\n";
-    add "defense=%s\n" s.Violation_io.defense_name;
-    add "contract=%s\n" s.Violation_io.contract_name;
-    add "signature=%s\n" p.signature;
-    (match p.leak_class with Some c -> add "class=%s\n" c | None -> ());
-    (match p.mechanism with
-    | Some (name, kind) ->
-        add "mechanism=%s\n" name;
-        add "mechanism_kind=%s\n" (mechanism_kind_name kind)
-    | None -> ());
-    add "cluster_size=%d\n" p.cluster_size;
-    (match s.Violation_io.identity with
-    | Some (c, a, b) -> add "identity=0x%Lx,0x%Lx,0x%Lx\n" c a b
-    | None -> ());
-    add "reproduce=amulet reproduce <this-file>\n";
-    add "[program]\n";
-    Array.iter
-      (fun inst -> add "%s\n" (Inst.to_string inst))
-      s.Violation_io.program.Program.code;
-    add_input buf "input_a" s.Violation_io.input_a;
-    add_input buf "input_b" s.Violation_io.input_b;
-    add "[expected.ctrace]\n";
-    add "equal=%b\n" p.expected_equal_ctrace;
-    add "hash=0x%Lx\n" p.expected_ctrace_hash;
-    add "[expected.utrace]\n";
-    List.iter (fun l -> add "  %s\n" l) p.expected_diff;
-    Buffer.contents buf
-
-  let parse (lines : string list) : t =
-    (match lines with
-    | magic :: _ when starts_with "amulet-poc" magic -> ()
-    | _ -> raise (Violation_io.Format_error "missing PoC magic header"));
-    (* split off the [expected.*] tail; what precedes it is a valid
-       violation block once the magic line is swapped *)
-    let rec split core = function
-      | [] -> (List.rev core, [])
-      | l :: rest when starts_with "[expected." l ->
-          (List.rev core, l :: rest)
-      | l :: rest -> split (l :: core) rest
-    in
-    let core, expected = split [] (List.tl lines) in
-    let stored = Violation_io.parse ("amulet-violation 1" :: core) in
-    (* the extra meta keys the violation parser tolerates but ignores *)
-    let meta = Hashtbl.create 8 in
-    (try
-       List.iter
-         (fun l ->
-           if l = "[program]" then raise Exit
-           else
-             match String.index_opt l '=' with
-             | Some eq ->
-                 Hashtbl.replace meta (String.sub l 0 eq)
-                   (String.sub l (eq + 1) (String.length l - eq - 1))
-             | None -> ())
-         core
-     with Exit -> ());
-    let section = ref "" in
-    let equal = ref true in
-    let hash = ref 0L in
-    let diff = ref [] in
-    List.iter
-      (fun l ->
-        if starts_with "[" l then section := l
-        else
-          match !section with
-          | "[expected.ctrace]" -> (
-              match String.index_opt l '=' with
-              | Some eq -> (
-                  let k = String.sub l 0 eq
-                  and v = String.sub l (eq + 1) (String.length l - eq - 1) in
-                  match k with
-                  | "equal" -> equal := v = "true"
-                  | "hash" -> (
-                      match Int64.of_string_opt v with
-                      | Some h -> hash := h
-                      | None ->
-                          raise
-                            (Violation_io.Format_error ("bad hash: " ^ v)))
-                  | _ -> ())
-              | None -> ())
-          | "[expected.utrace]" ->
-              if String.length l >= 2 && String.sub l 0 2 = "  " then
-                diff := String.sub l 2 (String.length l - 2) :: !diff
-              else if String.trim l <> "" then
-                raise
-                  (Violation_io.Format_error ("bad expected diff line: " ^ l))
-          | _ -> ())
-      expected;
-    let signature =
-      match stored.Violation_io.signature with
-      | Some s -> s
-      | None -> raise (Violation_io.Format_error "PoC without signature")
-    in
-    let mechanism =
-      match Hashtbl.find_opt meta "mechanism" with
-      | None -> None
-      | Some name ->
-          let kind =
-            match Hashtbl.find_opt meta "mechanism_kind" with
-            | Some "patched-flag" -> Patched_flag
-            | Some "config-knob" -> Config_knob
-            | Some k ->
-                raise
-                  (Violation_io.Format_error ("bad mechanism kind: " ^ k))
-            | None -> Config_knob
-          in
-          Some (name, kind)
-    in
-    {
-      stored;
-      signature;
-      leak_class = Hashtbl.find_opt meta "class";
-      mechanism;
-      cluster_size =
-        (match Hashtbl.find_opt meta "cluster_size" with
-        | Some n -> ( match int_of_string_opt n with Some n -> n | None -> 1)
-        | None -> 1);
-      expected_equal_ctrace = !equal;
-      expected_ctrace_hash = !hash;
-      expected_diff = List.rev !diff;
-    }
-
-  let load path : t =
-    parse (In_channel.with_open_text path In_channel.input_lines)
-
-  let write ~dir (c : cluster) : string =
-    Violation_io.mkdir_p dir;
-    let path =
-      Filename.concat dir
-        (Printf.sprintf "poc%d_%s.amulet" c.rank
-           c.representative.defense_name)
-    in
-    let out = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out out)
-      (fun () -> output_string out (to_string (of_cluster c)));
-    path
-
-  let replay ?l1d_ways ?mshrs ?sim_config (p : t) =
-    let f = explain ?l1d_ways ?mshrs ?sim_config p.stored in
-    match f.status with
-    | Not_reproduced -> `Not_reproduced
-    | Reproduced ->
-        if f.utrace_diff = p.expected_diff then `Match
-        else `Diff_mismatch f.utrace_diff
-end
-
-let () = poc_stored_of_file := fun path -> (Poc.load path).Poc.stored

@@ -393,28 +393,6 @@ let () =
         ] );
     ]
 
-(* parallel campaigns: the paper's multi-instance methodology on domains *)
-let test_parallel_campaign_merges () =
-  let spec =
-    Run_spec.make ~defense:Defense.baseline ~rounds:4 ~seed:5 ~classify:false
-      ~inputs:4 ~boosts:2 ~boot_insts:200 ()
-  in
-  let merged = Campaign.run_parallel ~instances:3 spec in
-  checki "programs summed" 12 merged.Campaign.programs_run;
-  checkb "test cases summed" true (merged.Campaign.test_cases > 0);
-  (* determinism: same seeds give the same merged violation count *)
-  let again = Campaign.run_parallel ~instances:3 spec in
-  checki "deterministic across runs"
-    (List.length merged.Campaign.violations)
-    (List.length again.Campaign.violations)
-
-let () =
-  Alcotest.run ~and_exit:false "core-parallel"
-    [
-      ( "parallel",
-        [ Alcotest.test_case "merge + determinism" `Slow test_parallel_campaign_merges ] );
-    ]
-
 (* violation persistence and minimization *)
 let find_speclfb_violation () =
   let fz =

@@ -1,13 +1,13 @@
 (* Robustness self-tests for the campaign supervision layer: chaos
-   injection, per-round deadlines, quarantine, crash-safe journaling with
-   resume, and fault-isolated parallel campaigns. *)
+   injection, per-round deadlines, quarantine, and crash-safe journaling
+   with resume.  Crash isolation of parallel shards is tested with the
+   sweep (test_sweep.ml). *)
 
 open Amulet
 open Amulet_defenses
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
-let checks = Alcotest.check Alcotest.string
 
 (* small-budget spec shared by the supervision tests; per-test knobs ride
    on Run_spec.make's optional arguments *)
@@ -106,67 +106,6 @@ let test_deadline_degrades_to_discard () =
        ~default:0)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel supervision: one crashing instance loses nothing else      *)
-(* ------------------------------------------------------------------ *)
-
-let test_parallel_survives_crashing_instance () =
-  let n_programs = 3 in
-  let spec = small_spec ~rounds:n_programs ~seed:5 () in
-  (* instance 0 crashes on its first test case (isolation off, so the
-     injected crash escapes the round and kills the whole domain — the
-     regression this guards: Domain.join used to rethrow and drop every
-     healthy instance's results) *)
-  let crashing =
-    small_spec ~rounds:n_programs ~seed:5 ~isolate_rounds:false
-      ~chaos:(Fault.injector ~p_crash:1.0 ~seed:1 ())
-      ()
-  in
-  let instance_spec i =
-    if i = 0 then crashing
-    else Run_spec.with_seed spec (spec.Run_spec.seed + (i * 7919))
-  in
-  let r = Campaign.run_parallel ~instances:3 ~retries:0 ~instance_spec spec in
-  checki "survivors' programs merged" (2 * n_programs) r.Campaign.programs_run;
-  checkb "test cases from survivors" true (r.Campaign.test_cases > 0);
-  checki "crash recorded in fault counts" 1
-    (Option.value
-       (List.assoc_opt Fault.C_instance_crash r.Campaign.fault_counts)
-       ~default:0)
-
-let test_parallel_retry_recovers () =
-  (* every instance crashes on attempt 0 and 1 seeds?  No — chaos draws are
-     per-test-case from the injector seed, so a p=1 injector crashes every
-     attempt.  Instead: healthy instances with retries simply succeed. *)
-  let r =
-    Campaign.run_parallel ~instances:2 ~retries:2 (small_spec ~rounds:2 ~seed:8 ())
-  in
-  checki "both instances completed" 4 r.Campaign.programs_run
-
-(* When every instance exhausts its retries the campaign must degrade to a
-   structured failed result — crashes classified in fault_counts, zero
-   work reported — never an exception that aborts the caller. *)
-let test_parallel_all_crash_structured () =
-  let crashing =
-    small_spec ~rounds:2 ~seed:5 ~isolate_rounds:false
-      ~chaos:(Fault.injector ~p_crash:1.0 ~seed:1 ())
-      ()
-  in
-  let r =
-    Campaign.run_parallel ~instances:2 ~retries:1
-      ~instance_spec:(fun _ -> crashing)
-      crashing
-  in
-  checki "no programs completed" 0 r.Campaign.programs_run;
-  checkb "no violations" true (r.Campaign.violations = []);
-  checks "contract name still derived" "CT-SEQ" r.Campaign.contract_name;
-  (* 2 instances x (1 attempt + 1 retry) crashes, all classified *)
-  checki "every crash classified" 4
-    (Option.value
-       (List.assoc_opt Fault.C_instance_crash r.Campaign.fault_counts)
-       ~default:0);
-  checkb "duration recorded" true (r.Campaign.duration >= 0.)
-
-(* ------------------------------------------------------------------ *)
 (* Journaling: roundtrip, atomicity, resume determinism                *)
 (* ------------------------------------------------------------------ *)
 
@@ -259,15 +198,6 @@ let () =
             test_chaos_campaign_survives;
           Alcotest.test_case "deadline degrades to discard" `Quick
             test_deadline_degrades_to_discard;
-        ] );
-      ( "parallel-supervision",
-        [
-          Alcotest.test_case "crashing instance keeps survivors" `Slow
-            test_parallel_survives_crashing_instance;
-          Alcotest.test_case "healthy instances with retries" `Slow
-            test_parallel_retry_recovers;
-          Alcotest.test_case "all-crash structured result" `Slow
-            test_parallel_all_crash_structured;
         ] );
       ( "journal",
         [

@@ -1,8 +1,9 @@
 (* Sweep orchestrator tests: preset selection, the full matrix completing
    under a small budget, released-bug presets finding their planted
    violations, scheduler determinism (fingerprints identical across domain
-   counts), shard journaling, and whole-run budget exhaustion stopping at
-   a round boundary. *)
+   counts), [fuzz -j] instances and crashed-shard merging, shard
+   journaling, and whole-run budget exhaustion stopping at a round
+   boundary. *)
 
 open Amulet
 open Amulet_isa
@@ -53,13 +54,13 @@ let test_all_presets_complete () =
   checki "no crashed shards" 0 rep.Sweep.crashed;
   checki "all jobs ran" (List.length Defense.all) rep.Sweep.jobs;
   List.iter
-    (fun (r : Sweep.row) ->
-      checki (r.Sweep.defense.Defense.name ^ " completed its rounds") 1
-        (r.Sweep.rounds + r.Sweep.discarded);
+    (fun { Sweep.result = r; _ } ->
+      checki (r.Campaign.defense.Defense.name ^ " completed its rounds") 1
+        (r.Campaign.programs_run + r.Campaign.discarded_programs);
       checkb
-        (r.Sweep.defense.Defense.name ^ " contract derived")
+        (r.Campaign.defense.Defense.name ^ " contract derived")
         true
-        (r.Sweep.contract_name <> ""))
+        (r.Campaign.contract_name <> ""))
     rep.Sweep.rows
 
 (* ------------------------------------------------------------------ *)
@@ -81,13 +82,12 @@ let test_released_bugs_detected () =
   in
   let rep = Sweep.run js in
   List.iter
-    (fun (r : Sweep.row) ->
-      checkb (r.Sweep.defense.Defense.name ^ " leaks under its contract") true
-        (r.Sweep.violations <> []);
-      checkb
-        (r.Sweep.defense.Defense.name ^ " has a time-to-first-leak")
-        true
-        (r.Sweep.time_to_first_leak <> None))
+    (fun (row : Sweep.row) ->
+      let name = row.Sweep.result.Campaign.defense.Defense.name in
+      checkb (name ^ " leaks under its contract") true
+        (Campaign.detected row.Sweep.result);
+      checkb (name ^ " has a time-to-first-leak") true
+        (row.Sweep.time_to_first_leak <> None))
     rep.Sweep.rows
 
 let test_cleanupspec_released_bug () =
@@ -100,7 +100,7 @@ let test_cleanupspec_released_bug () =
   in
   let rep = Sweep.run js in
   match rep.Sweep.rows with
-  | [ r ] -> checkb "cleanupspec leaks" true (r.Sweep.violations <> [])
+  | [ r ] -> checkb "cleanupspec leaks" true (Campaign.detected r.Sweep.result)
   | _ -> Alcotest.fail "expected exactly one row"
 
 (* Figure 9 (paper): STT's tainted speculative store fills the D-TLB. *)
@@ -147,6 +147,88 @@ let test_domains_deterministic () =
   checki "same total test cases" r1.Sweep.test_cases r4.Sweep.test_cases;
   checki "same job count" r1.Sweep.jobs r4.Sweep.jobs;
   checki "no crashes either way" 0 (r1.Sweep.crashed + r4.Sweep.crashed)
+
+(* ------------------------------------------------------------------ *)
+(* fuzz -j: N instances of one preset as an N-shard sweep               *)
+(* ------------------------------------------------------------------ *)
+
+let shard_spec ?chaos ?isolate_rounds ~rounds ~seed () =
+  Run_spec.make ~defense:Defense.baseline ~rounds ~seed ~classify:false
+    ~inputs:4 ~boosts:2 ~boot_insts:200 ?chaos ?isolate_rounds ()
+
+(* isolation off, so the injected crash escapes the round and kills the
+   whole shard *)
+let crashing ~rounds =
+  shard_spec ~rounds ~seed:5 ~isolate_rounds:false
+    ~chaos:(Fault.injector ~p_crash:1.0 ~seed:1 ())
+    ()
+
+let crashes (r : Campaign.result) =
+  Option.value (List.assoc_opt Fault.C_instance_crash r.Campaign.fault_counts)
+    ~default:0
+
+let only_row (rep : Sweep.report) =
+  match rep.Sweep.rows with
+  | [ row ] -> row
+  | _ -> Alcotest.fail "expected exactly one row"
+
+(* The merged violations of the N jobs are the N single campaigns'
+   violations, concatenated in instance order. *)
+let test_instances_merge () =
+  let spec = shard_spec ~rounds:4 ~seed:5 () in
+  let rep = Sweep.run ~domains:3 (Sweep.instances 3 spec) in
+  let merged = (only_row rep).Sweep.result in
+  checki "programs summed" 12 merged.Campaign.programs_run;
+  checkb "test cases summed" true (merged.Campaign.test_cases > 0);
+  let singles =
+    List.init 3 (fun i -> Campaign.run (Run_spec.with_seed spec (5 + (i * 7919))))
+  in
+  checkb "violations to compare" true (merged.Campaign.violations <> []);
+  let idents vs = List.map Sweep.Ident.of_violation vs in
+  checkb "violations = concatenated single runs" true
+    (idents merged.Campaign.violations
+    = idents (List.concat_map (fun r -> r.Campaign.violations) singles));
+  checki "test cases = summed single runs"
+    (List.fold_left (fun acc r -> acc + r.Campaign.test_cases) 0 singles)
+    merged.Campaign.test_cases;
+  let again = Sweep.run ~domains:1 (Sweep.instances 3 spec) in
+  checks "deterministic across runs and domain counts" (Sweep.fingerprint rep)
+    (Sweep.fingerprint again)
+
+(* A crashing shard loses none of the other shards' programs and counts as
+   exactly one instance crash. *)
+let test_crashing_instance_keeps_survivors () =
+  let rounds = 3 in
+  let js =
+    List.mapi
+      (fun i (j : Sweep.job) ->
+        if i = 0 then { j with Sweep.spec = crashing ~rounds } else j)
+      (Sweep.instances 3 (shard_spec ~rounds ~seed:5 ()))
+  in
+  let rep = Sweep.run ~domains:3 js in
+  (match rep.Sweep.shards with
+  | { Sweep.outcome = Sweep.Crashed _; _ } :: _ -> ()
+  | _ -> Alcotest.fail "shard 0 should have crashed");
+  let row = only_row rep in
+  checki "survivors' programs merged" (2 * rounds)
+    row.Sweep.result.Campaign.programs_run;
+  checkb "test cases from survivors" true
+    (row.Sweep.result.Campaign.test_cases > 0);
+  checki "one crashed shard" 1 row.Sweep.crashed_shards;
+  checki "crash recorded in fault counts" 1 (crashes row.Sweep.result)
+
+(* An all-crashed preset degrades to a structured row — zero work, the
+   contract still named, one crash per shard — never an exception. *)
+let test_all_crash_structured () =
+  let rep = Sweep.run ~domains:2 (Sweep.instances 2 (crashing ~rounds:2)) in
+  let row = only_row rep in
+  let r = row.Sweep.result in
+  checki "no programs completed" 0 r.Campaign.programs_run;
+  checkb "no violations" true (r.Campaign.violations = []);
+  checks "contract name still derived" "CT-SEQ" r.Campaign.contract_name;
+  checki "one crash per shard" 2 (crashes r);
+  checki "every shard crashed" 2 row.Sweep.crashed_shards;
+  checkb "duration recorded" true (r.Campaign.duration >= 0.)
 
 (* ------------------------------------------------------------------ *)
 (* Shard journaling                                                     *)
@@ -240,4 +322,13 @@ let () =
       ( "budget",
         [ Alcotest.test_case "round-boundary stop" `Quick test_budget_exhaustion ] );
       ("export", [ Alcotest.test_case "json document" `Slow test_json_export ]);
+      ( "parallel",
+        [ Alcotest.test_case "merge + determinism" `Slow test_instances_merge ] );
+      ( "parallel-supervision",
+        [
+          Alcotest.test_case "crashing instance keeps survivors" `Slow
+            test_crashing_instance_keeps_survivors;
+          Alcotest.test_case "all-crash structured result" `Slow
+            test_all_crash_structured;
+        ] );
     ]
