@@ -930,15 +930,6 @@ let reproduce_cmd =
              $(b,spectre-v4)), or the path of a saved violation or triage \
              PoC file to replay.")
   in
-  let sniff_magic path =
-    match In_channel.with_open_text path In_channel.input_line with
-    | Some l when String.length l >= 10 && String.sub l 0 10 = "amulet-poc" ->
-        `Poc
-    | Some l
-      when String.length l >= 16 && String.sub l 0 16 = "amulet-violation" ->
-        `Violation
-    | _ -> `Unknown
-  in
   let replay_poc path json =
     let p = Triage.Poc.load path in
     let verdict = Triage.Poc.replay p in
@@ -983,26 +974,7 @@ let reproduce_cmd =
   let replay_violation path json =
     let f = Triage.explain (Violation_io.load path) in
     if json then
-      print_endline
-        (Triage.report_to_json
-           (match f.Triage.status with
-           | Triage.Reproduced ->
-               {
-                 Triage.clusters =
-                   [
-                     {
-                       Triage.rank = 1;
-                       cluster_signature = f.Triage.signature;
-                       representative = f;
-                       members = [ path ];
-                       count = 1;
-                     };
-                   ];
-                 total = 1;
-                 not_reproduced = 0;
-               }
-           | Triage.Not_reproduced ->
-               { Triage.clusters = []; total = 1; not_reproduced = 1 }))
+      print_endline (Triage.report_to_json (Triage.singleton_report ~origin:path f))
     else Format.printf "%a" Triage.pp_finding f;
     match f.Triage.status with
     | Triage.Reproduced -> Output.exit_violation
@@ -1011,10 +983,10 @@ let reproduce_cmd =
   let run name seed json =
    Output.guarded @@ fun () ->
     if Sys.file_exists name && not (Sys.is_directory name) then
-      match sniff_magic name with
-      | `Poc -> replay_poc name json
-      | `Violation -> replay_violation name json
-      | `Unknown ->
+      match Violation_io.kind_of_file name with
+      | Some Violation_io.Poc -> replay_poc name json
+      | Some Violation_io.Violation -> replay_violation name json
+      | Some (Violation_io.Journal | Violation_io.Quarantine) | None ->
           Format.eprintf "amulet: %s is not a violation or PoC file@." name;
           Output.exit_fault
     else
@@ -1133,26 +1105,7 @@ let explain_cmd =
     let f = if do_minimize then Triage.shrink ?sim_config f else f in
     (* a strict one-element view of the triage schema: the report either
        holds this finding's singleton cluster or records it as dead *)
-    let report =
-      match f.Triage.status with
-      | Triage.Reproduced ->
-          {
-            Triage.clusters =
-              [
-                {
-                  Triage.rank = 1;
-                  cluster_signature = f.Triage.signature;
-                  representative = f;
-                  members = [ file ];
-                  count = 1;
-                };
-              ];
-            total = 1;
-            not_reproduced = 0;
-          }
-      | Triage.Not_reproduced ->
-          { Triage.clusters = []; total = 1; not_reproduced = 1 }
-    in
+    let report = Triage.singleton_report ~origin:file f in
     if json then print_endline (Triage.report_to_json report)
     else Format.printf "%a" Triage.pp_finding f;
     (* 1: the violation reproduces; 2: an explicit not_reproduced outcome —

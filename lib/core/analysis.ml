@@ -188,11 +188,7 @@ let classify ~(defense : Amulet_defenses.Defense.t) (events_a : Event.t list)
     with the signed copy.  Classification is pure, so this is the one
     place a signature is attached. *)
 let sign ?boot_insts ?sim_config ?format (v : Violation.t) =
-  let defense =
-    Option.value
-      (Amulet_defenses.Defense.find v.Violation.defense_name)
-      ~default:Amulet_defenses.Defense.baseline
-  in
+  let defense = Violation_io.resolve_defense v.Violation.defense_name in
   let engine =
     Engine.create ?boot_insts ?sim_config ?format ~mode:Executor.Opt defense
       (Stats.create ())

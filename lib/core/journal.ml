@@ -1,7 +1,7 @@
 (** Crash-safe campaign journaling: atomic checkpoints of campaign progress
     with embedded {!Violation_io} blocks, replayed by [fuzz --resume]. *)
 
-exception Format_error of string
+exception Format_error = Violation_io.Format_error
 
 type t = {
   seed : int;
@@ -18,7 +18,6 @@ type t = {
   violations : Violation_io.stored list;
 }
 
-let magic = "amulet-journal 1"
 let violation_marker = "--- violation ---"
 
 (* ------------------------------------------------------------------ *)
@@ -26,32 +25,34 @@ let violation_marker = "--- violation ---"
 (* ------------------------------------------------------------------ *)
 
 let output out (j : t) =
-  Printf.fprintf out "%s\n" magic;
-  Printf.fprintf out "[campaign]\n";
-  Printf.fprintf out "seed=%d\n" j.seed;
-  Printf.fprintf out "n_programs=%d\n" j.n_programs;
-  Printf.fprintf out "defense=%s\n" j.defense_name;
-  Printf.fprintf out "contract=%s\n" j.contract_name;
-  Printf.fprintf out "programs_run=%d\n" j.programs_run;
-  Printf.fprintf out "discarded=%d\n" j.discarded;
-  Printf.fprintf out "test_cases=%d\n" j.test_cases;
-  Printf.fprintf out "faults=%s\n"
-    (String.concat ","
-       (List.map
-          (fun (c, n) -> Printf.sprintf "%s:%d" (Fault.class_name c) n)
-          j.fault_counts));
-  Printf.fprintf out "detection_times=%s\n"
-    (String.concat "," (List.map (Printf.sprintf "%.6f") j.detection_times));
-  (* the corpus checkpoint is multi-line text: store it OCaml-escaped on a
-     single key=value line so pre-corpus readers (tolerant of unknown keys)
-     and this parser both stay line-oriented *)
-  (match j.corpus with
-  | None -> ()
-  | Some c -> Printf.fprintf out "corpus=%s\n" (String.escaped c));
-  (* integrity: a truncation that happens to land on a violation-block
-     boundary would otherwise parse cleanly with silently fewer
-     violations — the count makes any such tear detectable *)
-  Printf.fprintf out "violations=%d\n" (List.length j.violations);
+  let faults =
+    List.map (fun (c, n) -> Printf.sprintf "%s:%d" (Fault.class_name c) n) j.fault_counts
+  in
+  let campaign =
+    [
+      ("seed", string_of_int j.seed);
+      ("n_programs", string_of_int j.n_programs);
+      ("defense", j.defense_name);
+      ("contract", j.contract_name);
+      ("programs_run", string_of_int j.programs_run);
+      ("discarded", string_of_int j.discarded);
+      ("test_cases", string_of_int j.test_cases);
+      ("faults", String.concat "," faults);
+      ( "detection_times",
+        String.concat "," (List.map (Printf.sprintf "%.6f") j.detection_times) );
+    ]
+    (* the corpus checkpoint is multi-line text: store it OCaml-escaped on
+       a single key=value line so pre-corpus readers (tolerant of unknown
+       keys) and this parser both stay line-oriented *)
+    @ (match j.corpus with None -> [] | Some c -> [ ("corpus", String.escaped c) ])
+    (* integrity: a truncation that happens to land on a violation-block
+       boundary would otherwise parse cleanly with silently fewer
+       violations — the count makes any such tear detectable *)
+    @ [ ("violations", string_of_int (List.length j.violations)) ]
+  in
+  output_string out
+    (Violation_io.render Violation_io.Journal
+       [ ("campaign", Violation_io.key_value_lines campaign) ]);
   List.iter
     (fun s ->
       Printf.fprintf out "%s\n" violation_marker;
@@ -86,36 +87,27 @@ let save (j : t) path =
 (* Reading                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let parse_faults s =
+(* A comma-separated list; [decode] rejects an item with [None]. *)
+let parse_list what decode s =
   if String.trim s = "" then []
   else
     List.map
       (fun item ->
-        match String.index_opt item ':' with
-        | Some colon -> (
-            let name = String.sub item 0 colon in
-            let count = String.sub item (colon + 1) (String.length item - colon - 1) in
-            match Fault.class_of_name name, int_of_string_opt count with
-            | Some c, Some n -> (c, n)
-            | _ -> raise (Format_error ("bad fault count: " ^ item)))
-        | None -> raise (Format_error ("bad fault count: " ^ item)))
+        match decode item with
+        | Some x -> x
+        | None -> raise (Format_error (Printf.sprintf "bad %s: %s" what item)))
       (String.split_on_char ',' s)
 
-let parse_times s =
-  if String.trim s = "" then []
-  else
-    List.map
-      (fun item ->
-        match float_of_string_opt item with
-        | Some f -> f
-        | None -> raise (Format_error ("bad detection time: " ^ item)))
-      (String.split_on_char ',' s)
+let fault_count item =
+  match String.split_on_char ':' item with
+  | [ name; count ] -> (
+      match Fault.class_of_name name, int_of_string_opt count with
+      | Some c, Some n -> Some (c, n)
+      | _ -> None)
+  | _ -> None
 
 let load path : t =
   let lines = In_channel.with_open_text path In_channel.input_lines in
-  (match lines with
-  | m :: _ when m = magic -> ()
-  | _ -> raise (Format_error "missing journal magic header"));
   (* split into the campaign header and one chunk per embedded violation *)
   let chunks =
     List.fold_left
@@ -128,24 +120,10 @@ let load path : t =
   let header, violation_chunks =
     match chunks with h :: v -> h, v | [] -> raise (Format_error "empty journal")
   in
-  let meta = Hashtbl.create 16 in
-  List.iter
-    (fun line ->
-      if line = magic || (String.length line > 0 && line.[0] = '[') || String.trim line = ""
-      then ()
-      else
-        match String.index_opt line '=' with
-        | Some eq ->
-            Hashtbl.replace meta
-              (String.sub line 0 eq)
-              (String.sub line (eq + 1) (String.length line - eq - 1))
-        | None -> raise (Format_error ("bad journal line: " ^ line)))
-    header;
-  let find k =
-    match Hashtbl.find_opt meta k with
-    | Some v -> v
-    | None -> raise (Format_error ("missing journal key " ^ k))
+  let meta =
+    Violation_io.(key_values (section (parse_doc Journal header) "campaign"))
   in
+  let find = Violation_io.require meta in
   let int_of k =
     match int_of_string_opt (find k) with
     | Some n -> n
@@ -155,8 +133,7 @@ let load path : t =
     List.map
       (fun chunk ->
         try Violation_io.parse chunk
-        with Violation_io.Format_error e ->
-          raise (Format_error ("embedded violation: " ^ e)))
+        with Format_error e -> raise (Format_error ("embedded violation: " ^ e)))
       (List.filter (fun c -> c <> []) violation_chunks)
   in
   (match Hashtbl.find_opt meta "violations" with
@@ -174,8 +151,9 @@ let load path : t =
     programs_run = int_of "programs_run";
     discarded = int_of "discarded";
     test_cases = int_of "test_cases";
-    fault_counts = parse_faults (find "faults");
-    detection_times = parse_times (find "detection_times");
+    fault_counts = parse_list "fault count" fault_count (find "faults");
+    detection_times =
+      parse_list "detection time" float_of_string_opt (find "detection_times");
     corpus =
       (match Hashtbl.find_opt meta "corpus" with
       | None -> None
@@ -200,7 +178,7 @@ let recover path =
   else
     match load path with
     | j -> Resumed j
-    | exception (Format_error e | Violation_io.Format_error e) ->
+    | exception Format_error e ->
         (* a torn checkpoint (crash between write and fsync on a pre-fsync
            journal, disk corruption, truncation) must not kill the campaign:
            move it aside for triage and start over *)

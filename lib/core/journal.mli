@@ -11,6 +11,8 @@
     run. *)
 
 exception Format_error of string
+(** The same exception as {!Violation_io.Format_error}: the [[campaign]]
+    header and the embedded violations share its reader. *)
 
 type t = {
   seed : int;

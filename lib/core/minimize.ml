@@ -13,7 +13,6 @@
 
 open Amulet_isa
 open Amulet_contracts
-open Amulet_defenses
 
 type result = {
   minimized : Program.flat;
@@ -45,20 +44,18 @@ let nop_count flat =
     (fun acc i -> if i = Inst.Nop then acc + 1 else acc)
     0 flat.Program.code
 
-(** Minimize [v]'s program for its input pair.  [sim_config] must match the
+(** Minimize [s]'s program for its input pair.  [sim_config] must match the
     configuration the violation was found under (amplified structures
     etc.). *)
-let minimize ?sim_config (v : Violation.t) : result =
-  let defense =
-    Option.value (Defense.find v.Violation.defense_name) ~default:Defense.baseline
-  in
-  let contract = v.Violation.contract in
-  let original = v.Violation.program in
+let minimize ?sim_config (s : Violation_io.stored) : result =
+  let defense = Violation_io.resolve_defense s.Violation_io.defense_name in
+  let contract = Violation_io.resolve_contract defense s.Violation_io.contract_name in
+  let original = s.Violation_io.program in
   let code = Array.copy original.Program.code in
   let flat () = { original with Program.code = Array.copy code } in
   let check () =
     still_violates ~defense ~contract ~sim_config (flat ())
-      v.Violation.input_a v.Violation.input_b
+      s.Violation_io.input_a s.Violation_io.input_b
   in
   let removed = ref 0 in
   (* newest-first: late instructions are most often incidental *)

@@ -23,5 +23,8 @@ val still_violates :
 (** Does the pair still form a validated violation on this program, under a
     fresh executor? *)
 
-val minimize : ?sim_config:Amulet_uarch.Config.t -> Violation.t -> result
+val minimize : ?sim_config:Amulet_uarch.Config.t -> Violation_io.stored -> result
+(** Shrink a stored violation's program under its resolved defense and
+    contract ({!Violation_io.resolve_defense}). *)
+
 val pp_result : Format.formatter -> result -> unit

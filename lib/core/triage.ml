@@ -199,16 +199,6 @@ let uarch_only =
   Obs.Snapshot.filter (fun n ->
       String.length n >= 6 && String.sub n 0 6 = "uarch.")
 
-let defense_of (s : Violation_io.stored) =
-  Option.value
-    (Defense.find s.Violation_io.defense_name)
-    ~default:Defense.baseline
-
-let contract_of defense (s : Violation_io.stored) =
-  Option.value
-    (Contract.find s.Violation_io.contract_name)
-    ~default:defense.Defense.contract
-
 (* An explicit [sim_config] overrides everything (single-defense streams);
    [l1d_ways]/[mshrs] amplify each finding's own defense config, which is
    the only knob that makes sense across a multi-preset stream. *)
@@ -221,8 +211,10 @@ let resolve_config ?l1d_ways ?mshrs ?sim_config defense =
       | _ -> Some (Defense.config ?l1d_ways ?mshrs defense))
 
 let explain ?l1d_ways ?mshrs ?sim_config (s : Violation_io.stored) : finding =
-  let defense = defense_of s in
-  let contract = contract_of defense s in
+  let defense = Violation_io.resolve_defense s.Violation_io.defense_name in
+  let contract =
+    Violation_io.resolve_contract defense s.Violation_io.contract_name
+  in
   let sim_config = resolve_config ?l1d_ways ?mshrs ?sim_config defense in
   let flat = s.Violation_io.program in
   let metrics = Obs.create () in
@@ -374,8 +366,10 @@ let bisect ?l1d_ways ?mshrs ?sim_config (f : finding) : finding =
   | Not_reproduced -> f
   | Reproduced ->
       let s = f.stored in
-      let defense = defense_of s in
-      let contract = contract_of defense s in
+      let defense = Violation_io.resolve_defense s.Violation_io.defense_name in
+      let contract =
+        Violation_io.resolve_contract defense s.Violation_io.contract_name
+      in
       let base =
         match resolve_config ?l1d_ways ?mshrs ?sim_config defense with
         | Some c -> c
@@ -412,10 +406,10 @@ let shrink ?l1d_ways ?mshrs ?sim_config (f : finding) : finding =
   | Not_reproduced -> f
   | Reproduced ->
       let sim_config =
-        resolve_config ?l1d_ways ?mshrs ?sim_config (defense_of f.stored)
+        resolve_config ?l1d_ways ?mshrs ?sim_config
+          (Violation_io.resolve_defense f.stored.Violation_io.defense_name)
       in
-      let v = Violation_io.rehydrate ?sim_config f.stored in
-      { f with minimized = Some (Minimize.minimize ?sim_config v) }
+      { f with minimized = Some (Minimize.minimize ?sim_config f.stored) }
 
 (* ------------------------------------------------------------------ *)
 (* Clustering                                                          *)
@@ -486,13 +480,28 @@ type report = {
   not_reproduced : int;
 }
 
+let singleton_report ~origin (f : finding) : report =
+  match f.status with
+  | Reproduced ->
+      {
+        clusters =
+          [
+            {
+              rank = 1;
+              cluster_signature = f.signature;
+              representative = f;
+              members = [ origin ];
+              count = 1;
+            };
+          ];
+        total = 1;
+        not_reproduced = 0;
+      }
+  | Not_reproduced -> { clusters = []; total = 1; not_reproduced = 1 }
+
 (* ------------------------------------------------------------------ *)
 (* Standalone PoC files                                                *)
 (* ------------------------------------------------------------------ *)
-
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
 
 module Poc = struct
   type t = {
@@ -521,125 +530,51 @@ module Poc = struct
       expected_diff = f.utrace_diff;
     }
 
-  let hex_of_bytes b =
-    let buf = Buffer.create (2 * Bytes.length b) in
-    Bytes.iter
-      (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c)))
-      b;
-    Buffer.contents buf
-
-  (* Identical layout to {!Violation_io}'s input sections, so the core of
-     a PoC file parses with the violation parser. *)
-  let add_input buf label (i : Input.t) =
-    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    add "[%s.regs]\n" label;
-    Array.iteri
-      (fun k v -> add "%s=0x%Lx\n" (Reg.name (Reg.of_index k)) v)
-      i.Input.regs;
-    add "[%s.mem]\n" label;
-    let hex = hex_of_bytes i.Input.mem in
-    let n = String.length hex in
-    let rec lines pos =
-      if pos < n then begin
-        add "%s\n" (String.sub hex pos (min 128 (n - pos)));
-        lines (pos + 128)
-      end
-    in
-    lines 0
-
+  (* A stored violation whose [meta] carries the PoC keys, followed by the
+     [expected.*] sections. *)
   let to_string (p : t) =
-    let buf = Buffer.create 4096 in
-    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    let s = p.stored in
-    add "amulet-poc 1\n";
-    add "[meta]\n";
-    add "defense=%s\n" s.Violation_io.defense_name;
-    add "contract=%s\n" s.Violation_io.contract_name;
-    add "signature=%s\n" p.signature;
-    (match p.leak_class with Some c -> add "class=%s\n" c | None -> ());
-    (match p.mechanism with
-    | Some (name, kind) ->
-        add "mechanism=%s\n" name;
-        add "mechanism_kind=%s\n" (mechanism_kind_name kind)
-    | None -> ());
-    add "cluster_size=%d\n" p.cluster_size;
-    (match s.Violation_io.identity with
-    | Some (c, a, b) -> add "identity=0x%Lx,0x%Lx,0x%Lx\n" c a b
-    | None -> ());
-    add "reproduce=amulet reproduce <this-file>\n";
-    add "[program]\n";
-    Array.iter
-      (fun inst -> add "%s\n" (Inst.to_string inst))
-      s.Violation_io.program.Program.code;
-    add_input buf "input_a" s.Violation_io.input_a;
-    add_input buf "input_b" s.Violation_io.input_b;
-    add "[expected.ctrace]\n";
-    add "equal=%b\n" p.expected_equal_ctrace;
-    add "hash=0x%Lx\n" p.expected_ctrace_hash;
-    add "[expected.utrace]\n";
-    List.iter (fun l -> add "  %s\n" l) p.expected_diff;
-    Buffer.contents buf
+    let extra =
+      (match p.leak_class with Some c -> [ ("class", c) ] | None -> [])
+      @ (match p.mechanism with
+        | Some (name, kind) ->
+            [ ("mechanism", name); ("mechanism_kind", mechanism_kind_name kind) ]
+        | None -> [])
+      @ [ ("cluster_size", string_of_int p.cluster_size) ]
+    in
+    Violation_io.render Violation_io.Poc
+      (Violation_io.stored_sections ~extra
+         ~trailer:[ ("reproduce", "amulet reproduce <this-file>") ]
+         { p.stored with Violation_io.signature = Some p.signature }
+      @ [
+          ( "expected.ctrace",
+            Violation_io.key_value_lines
+              [
+                ("equal", string_of_bool p.expected_equal_ctrace);
+                ("hash", Printf.sprintf "0x%Lx" p.expected_ctrace_hash);
+              ] );
+          ("expected.utrace", List.map (fun l -> "  " ^ l) p.expected_diff);
+        ])
 
   let parse (lines : string list) : t =
-    (match lines with
-    | magic :: _ when starts_with "amulet-poc" magic -> ()
-    | _ -> raise (Violation_io.Format_error "missing PoC magic header"));
-    (* split off the [expected.*] tail; what precedes it is a valid
-       violation block once the magic line is swapped *)
-    let rec split core = function
-      | [] -> (List.rev core, [])
-      | l :: rest when starts_with "[expected." l ->
-          (List.rev core, l :: rest)
-      | l :: rest -> split (l :: core) rest
+    let doc = Violation_io.parse_doc Violation_io.Poc lines in
+    let stored =
+      Violation_io.stored_of_sections
+        ~extra:(String.starts_with ~prefix:"expected.")
+        doc
     in
-    let core, expected = split [] (List.tl lines) in
-    let stored = Violation_io.parse ("amulet-violation 1" :: core) in
-    (* the extra meta keys the violation parser tolerates but ignores *)
-    let meta = Hashtbl.create 8 in
-    (try
-       List.iter
-         (fun l ->
-           if l = "[program]" then raise Exit
-           else
-             match String.index_opt l '=' with
-             | Some eq ->
-                 Hashtbl.replace meta (String.sub l 0 eq)
-                   (String.sub l (eq + 1) (String.length l - eq - 1))
-             | None -> ())
-         core
-     with Exit -> ());
-    let section = ref "" in
-    let equal = ref true in
-    let hash = ref 0L in
-    let diff = ref [] in
-    List.iter
-      (fun l ->
-        if starts_with "[" l then section := l
-        else
-          match !section with
-          | "[expected.ctrace]" -> (
-              match String.index_opt l '=' with
-              | Some eq -> (
-                  let k = String.sub l 0 eq
-                  and v = String.sub l (eq + 1) (String.length l - eq - 1) in
-                  match k with
-                  | "equal" -> equal := v = "true"
-                  | "hash" -> (
-                      match Int64.of_string_opt v with
-                      | Some h -> hash := h
-                      | None ->
-                          raise
-                            (Violation_io.Format_error ("bad hash: " ^ v)))
-                  | _ -> ())
-              | None -> ())
-          | "[expected.utrace]" ->
-              if String.length l >= 2 && String.sub l 0 2 = "  " then
-                diff := String.sub l 2 (String.length l - 2) :: !diff
-              else if String.trim l <> "" then
-                raise
-                  (Violation_io.Format_error ("bad expected diff line: " ^ l))
-          | _ -> ())
-      expected;
+    let meta = Violation_io.key_values (Violation_io.section doc "meta") in
+    let ctrace =
+      Violation_io.key_values (Violation_io.section doc "expected.ctrace")
+    in
+    let diff =
+      List.filter_map
+        (fun l ->
+          if String.starts_with ~prefix:"  " l then
+            Some (String.sub l 2 (String.length l - 2))
+          else if String.trim l = "" then None
+          else raise (Violation_io.Format_error ("bad expected diff line: " ^ l)))
+        (Violation_io.section doc "expected.utrace")
+    in
     let signature =
       match stored.Violation_io.signature with
       | Some s -> s
@@ -669,9 +604,18 @@ module Poc = struct
         (match Hashtbl.find_opt meta "cluster_size" with
         | Some n -> ( match int_of_string_opt n with Some n -> n | None -> 1)
         | None -> 1);
-      expected_equal_ctrace = !equal;
-      expected_ctrace_hash = !hash;
-      expected_diff = List.rev !diff;
+      expected_equal_ctrace =
+        (match Hashtbl.find_opt ctrace "equal" with
+        | Some v -> v = "true"
+        | None -> true);
+      expected_ctrace_hash =
+        (match Hashtbl.find_opt ctrace "hash" with
+        | None -> 0L
+        | Some v -> (
+            match Int64.of_string_opt v with
+            | Some h -> h
+            | None -> raise (Violation_io.Format_error ("bad hash: " ^ v))));
+      expected_diff = diff;
     }
 
   let load path : t =
@@ -684,10 +628,8 @@ module Poc = struct
         (Printf.sprintf "poc%d_%s.amulet" c.rank
            c.representative.defense_name)
     in
-    let out = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out out)
-      (fun () -> output_string out (to_string (of_cluster c)));
+    Out_channel.with_open_text path (fun out ->
+        output_string out (to_string (of_cluster c)));
     path
 
   let replay ?l1d_ways ?mshrs ?sim_config (p : t) =
@@ -703,26 +645,18 @@ end
 (* Loading the stream                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let first_line path =
-  try In_channel.with_open_text path In_channel.input_line
-  with Sys_error _ -> None
-
+(* Quarantine files, foreign formats and corrupt entries yield nothing. *)
 let stored_of_file path : (string * Violation_io.stored) list =
-  match first_line path with
-  | Some l when starts_with "amulet-violation" l -> (
-      try [ (path, Violation_io.load path) ]
-      with Violation_io.Format_error _ | Sys_error _ -> [])
-  | Some l when starts_with "amulet-poc" l -> (
-      try [ (path, (Poc.load path).Poc.stored) ]
-      with Violation_io.Format_error _ | Sys_error _ -> [])
-  | Some l when starts_with "amulet-journal" l -> (
-      try
-        let j = Journal.load path in
+  try
+    match Violation_io.kind_of_file path with
+    | Some Violation_io.Violation -> [ (path, Violation_io.load path) ]
+    | Some Violation_io.Poc -> [ (path, (Poc.load path).Poc.stored) ]
+    | Some Violation_io.Journal ->
         List.mapi
           (fun i s -> (Printf.sprintf "%s#%d" path i, s))
-          j.Journal.violations
-      with Journal.Format_error _ | Sys_error _ -> [])
-  | _ -> []  (* quarantine files, corrupt entries, foreign formats *)
+          (Journal.load path).Journal.violations
+    | Some Violation_io.Quarantine | None -> []
+  with Violation_io.Format_error _ | Sys_error _ -> []
 
 let load (paths : string list) : (string * Violation_io.stored) list =
   List.concat_map

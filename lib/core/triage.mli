@@ -140,6 +140,10 @@ type report = {
   not_reproduced : int;  (** findings excluded because they did not replay *)
 }
 
+val singleton_report : origin:string -> finding -> report
+(** The one-element report of a single finding (from [origin]): its own
+    cluster when it reproduces, otherwise counted as not reproduced. *)
+
 val cluster : (string * finding) list -> cluster list
 (** Group reproduced findings by divergence signature and rank.  Stable
     under any permutation of the input list (shard order, worker arrival

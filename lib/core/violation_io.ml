@@ -2,14 +2,26 @@
     later analysis (the artifact the paper's workflow hands from the fuzzing
     campaign to the manual root-causing step).
 
-    The format is a plain-text sectioned file: defense and contract names,
-    the program in assembly syntax, and the two inputs (registers in hex,
-    sandbox memory hex-dumped).  The original run's microarchitectural
-    context is {e not} stored — on reload, analyses revalidate the pair
-    under fresh contexts, which reproduces input-caused violations (and is
-    exactly the check {!Minimize.still_violates} performs). *)
+    Every violation artifact shares one plain-text layout: a magic line
+    naming the file kind, then [[name]] sections of raw lines.  The four
+    kinds are ["amulet-violation 1"] (a saved finding), ["amulet-poc 1"]
+    (a triage proof-of-concept), ["amulet-quarantine 1"] (a misbehaving
+    test case) and ["amulet-journal 1"] (a campaign checkpoint that embeds
+    violation blocks).  A stored violation is a [[meta]] section of
+    key=value lines (defense, contract, signature, identity), a [[program]]
+    section in flat assembly ([@index] branch targets), and two inputs as
+    [[input_X.regs]] (registers in hex) and [[input_X.mem]] (sandbox memory
+    hex-dumped, 64 bytes per line).  {!render} is the one writer,
+    {!parse_doc} the one reader and {!kind_of_file} the one sniff.
+
+    The original run's microarchitectural context is {e not} stored — on
+    reload, analyses revalidate the pair under fresh contexts, which
+    reproduces input-caused violations (and is exactly the check
+    {!Minimize.still_violates} performs). *)
 
 open Amulet_isa
+open Amulet_contracts
+open Amulet_defenses
 
 type stored = {
   defense_name : string;
@@ -29,10 +41,12 @@ type stored = {
 
 exception Format_error of string
 
+let bad what line = raise (Format_error (Printf.sprintf "bad %s: %s" what line))
+
 let of_violation (v : Violation.t) : stored =
   {
     defense_name = v.Violation.defense_name;
-    contract_name = v.Violation.contract.Amulet_contracts.Contract.name;
+    contract_name = v.Violation.contract.Contract.name;
     program = v.Violation.program;
     input_a = v.Violation.input_a;
     input_b = v.Violation.input_b;
@@ -44,164 +58,219 @@ let of_violation (v : Violation.t) : stored =
           v.Violation.trace_b_hash );
   }
 
+(** A stored violation names its defense and contract; unknown names fall
+    back to the baseline defense and to the defense's own contract. *)
+let resolve_defense name =
+  Option.value (Defense.find name) ~default:Defense.baseline
+
+let resolve_contract (defense : Defense.t) name =
+  Option.value (Contract.find name) ~default:defense.Defense.contract
+
+(* ------------------------------------------------------------------ *)
+(* File kinds                                                          *)
+(* ------------------------------------------------------------------ *)
+
+type kind = Violation | Poc | Journal | Quarantine
+
+let magic = function
+  | Violation -> "amulet-violation 1"
+  | Poc -> "amulet-poc 1"
+  | Journal -> "amulet-journal 1"
+  | Quarantine -> "amulet-quarantine 1"
+
+(* The first word of a magic line names the kind; the version is not
+   checked. *)
+let kind_of_magic line =
+  let word s = List.hd (String.split_on_char ' ' s) in
+  List.find_opt
+    (fun k -> word (magic k) = word line)
+    [ Violation; Poc; Journal; Quarantine ]
+
+let kind_of_file path =
+  match In_channel.with_open_text path In_channel.input_line with
+  | Some line -> kind_of_magic line
+  | None -> None
+  | exception Sys_error _ -> None
+
 (* ------------------------------------------------------------------ *)
 (* Writing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let hex_of_bytes b =
-  let buf = Buffer.create (2 * Bytes.length b) in
-  Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) b;
+type section = string * string list
+
+let render kind (sections : section list) =
+  let buf = Buffer.create 16384 in
+  let line l =
+    Buffer.add_string buf l;
+    Buffer.add_char buf '\n'
+  in
+  line (magic kind);
+  List.iter
+    (fun (name, lines) ->
+      line ("[" ^ name ^ "]");
+      List.iter line lines)
+    sections;
   Buffer.contents buf
 
-let write_input out label (i : Input.t) =
-  Printf.fprintf out "[%s.regs]\n" label;
-  Array.iteri (fun k v -> Printf.fprintf out "%s=0x%Lx\n" (Reg.name (Reg.of_index k)) v) i.Input.regs;
-  Printf.fprintf out "[%s.mem]\n" label;
-  (* 64 bytes (128 hex chars) per line *)
-  let hex = hex_of_bytes i.Input.mem in
-  let n = String.length hex in
-  let rec lines pos =
-    if pos < n then begin
-      Printf.fprintf out "%s\n" (String.sub hex pos (min 128 (n - pos)));
-      lines (pos + 128)
-    end
-  in
-  lines 0
+let key_value_lines kvs = List.map (fun (k, v) -> k ^ "=" ^ v) kvs
 
-(** Write the sectioned text form of [s] to an open channel (the format
-    {!save} puts in a file; {!Journal} embeds the same blocks). *)
-let output out (s : stored) =
-  Printf.fprintf out "amulet-violation 1\n";
-  Printf.fprintf out "[meta]\n";
-  Printf.fprintf out "defense=%s\n" s.defense_name;
-  Printf.fprintf out "contract=%s\n" s.contract_name;
-  (match s.signature with
-  | Some sig_ -> Printf.fprintf out "signature=%s\n" sig_
-  | None -> ());
-  (match s.identity with
-  | Some (c, a, b) -> Printf.fprintf out "identity=0x%Lx,0x%Lx,0x%Lx\n" c a b
-  | None -> ());
-  Printf.fprintf out "[program]\n";
-  (* assembly of the flattened program: one instruction per line with
-     resolved @index targets, re-parseable below *)
-  Array.iter
-    (fun inst -> Printf.fprintf out "%s\n" (Inst.to_string inst))
-    s.program.Program.code;
-  write_input out "input_a" s.input_a;
-  write_input out "input_b" s.input_b
+(* one instruction per line with resolved @index targets *)
+let program_section (p : Program.flat) =
+  ("program", Array.to_list (Array.map Inst.to_string p.Program.code))
+
+let hex_digits = "0123456789abcdef"
+
+let input_sections label (i : Input.t) =
+  let mem = i.Input.mem in
+  let hex =
+    String.init
+      (2 * Bytes.length mem)
+      (fun k ->
+        let c = Char.code (Bytes.get mem (k / 2)) in
+        hex_digits.[if k land 1 = 0 then c lsr 4 else c land 15])
+  in
+  (* 64 bytes (128 hex chars) per line *)
+  let rec chunks pos =
+    if pos >= String.length hex then []
+    else String.sub hex pos (min 128 (String.length hex - pos)) :: chunks (pos + 128)
+  in
+  [
+    ( label ^ ".regs",
+      key_value_lines
+        (List.mapi
+           (fun k v -> (Reg.name (Reg.of_index k), Printf.sprintf "0x%Lx" v))
+           (Array.to_list i.Input.regs)) );
+    (label ^ ".mem", chunks 0);
+  ]
+
+let stored_sections ?(extra = []) ?(trailer = []) (s : stored) =
+  let opt key = function Some v -> [ (key, v) ] | None -> [] in
+  ( "meta",
+    key_value_lines
+      ([ ("defense", s.defense_name); ("contract", s.contract_name) ]
+      @ opt "signature" s.signature
+      @ extra
+      @ opt "identity"
+          (Option.map
+             (fun (c, a, b) -> Printf.sprintf "0x%Lx,0x%Lx,0x%Lx" c a b)
+             s.identity)
+      @ trailer) )
+  :: program_section s.program
+  :: (input_sections "input_a" s.input_a @ input_sections "input_b" s.input_b)
+
+let output out (s : stored) = output_string out (render Violation (stored_sections s))
 
 (** Save to [path] (overwrites). *)
-let save (s : stored) path =
-  let out = open_out path in
-  Fun.protect ~finally:(fun () -> close_out out) (fun () -> output out s)
+let save (s : stored) path = Out_channel.with_open_text path (fun out -> output out s)
 
 (* ------------------------------------------------------------------ *)
 (* Reading                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let bytes_of_hex hex =
-  let n = String.length hex in
-  if n mod 2 <> 0 then raise (Format_error "odd hex length");
-  Bytes.init (n / 2) (fun i ->
-      Char.chr (int_of_string ("0x" ^ String.sub hex (2 * i) 2)))
+let parse_doc kind (lines : string list) : section list =
+  match lines with
+  | first :: rest when kind_of_magic first = Some kind ->
+      (* reversed sections, each holding its lines reversed *)
+      let sections = ref [] in
+      List.iter
+        (fun l ->
+          match !sections with
+          | _ when String.length l > 1 && l.[0] = '[' ->
+              if l.[String.length l - 1] <> ']' then bad "section header" l;
+              sections := (String.sub l 1 (String.length l - 2), ref []) :: !sections
+          | (_, cur) :: _ -> cur := l :: !cur
+          | [] -> if String.trim l <> "" then bad "line before any section" l)
+        rest;
+      List.rev_map (fun (name, cur) -> (name, List.rev !cur)) !sections
+  | _ -> raise (Format_error (Printf.sprintf "missing %S magic line" (magic kind)))
 
-(* Flattened instructions print targets as "@N"; the assembler parses only
-   labels, so resolve the "@N" form here. *)
-let parse_flat_instruction line =
-  match String.index_opt line '@' with
-  | None -> (
-      let p = Asm.parse line in
-      match p.Program.blocks with
-      | [ { Program.body = [ i ]; _ } ] -> i
-      | _ -> raise (Format_error ("bad instruction line: " ^ line)))
-  | Some at ->
-      let mnemonic = String.trim (String.sub line 0 at) in
-      let target =
-        int_of_string (String.trim (String.sub line (at + 1) (String.length line - at - 1)))
-      in
-      if String.uppercase_ascii mnemonic = "JMP" then Inst.Jmp (Inst.Abs target)
-      else
-        let m = String.uppercase_ascii mnemonic in
-        if String.length m > 1 && m.[0] = 'J' then
-          match Cond.of_suffix (String.sub m 1 (String.length m - 1)) with
-          | Some c -> Inst.Jcc (c, Inst.Abs target)
-          | None -> raise (Format_error ("bad branch: " ^ line))
-        else raise (Format_error ("bad target line: " ^ line))
+let section (doc : section list) name =
+  List.concat_map (fun (n, lines) -> if n = name then lines else []) doc
 
-(** Parse the lines of a violation block as written by {!output}. *)
-let parse (lines : string list) : stored =
-  (match lines with
-  | magic :: _ when String.length magic >= 16 && String.sub magic 0 16 = "amulet-violation"
-    ->
-      ()
-  | _ -> raise (Format_error "missing magic header"));
-  let section = ref "" in
-  let meta = Hashtbl.create 8 in
-  let program_lines = ref [] in
-  let regs_a = Array.make Reg.count 0L and regs_b = Array.make Reg.count 0L in
-  let mem_a = Buffer.create 4096 and mem_b = Buffer.create 4096 in
-  List.iteri
-    (fun idx line ->
-      if idx = 0 then ()
-      else if String.length line > 1 && line.[0] = '[' then section := line
-      else if String.trim line = "" then ()
-      else
-        match !section with
-        | "[meta]" -> (
-            match String.index_opt line '=' with
-            | Some eq ->
-                Hashtbl.replace meta
-                  (String.sub line 0 eq)
-                  (String.sub line (eq + 1) (String.length line - eq - 1))
-            | None -> raise (Format_error ("bad meta line: " ^ line)))
-        | "[program]" -> program_lines := line :: !program_lines
-        | "[input_a.regs]" | "[input_b.regs]" -> (
-            let regs = if !section = "[input_a.regs]" then regs_a else regs_b in
-            match String.index_opt line '=' with
-            | Some eq ->
-                let r = Reg.of_name (String.sub line 0 eq) in
-                regs.(Reg.index r) <-
-                  Int64.of_string (String.sub line (eq + 1) (String.length line - eq - 1))
-            | None -> raise (Format_error ("bad register line: " ^ line)))
-        | "[input_a.mem]" -> Buffer.add_string mem_a (String.trim line)
-        | "[input_b.mem]" -> Buffer.add_string mem_b (String.trim line)
-        | s -> raise (Format_error ("unknown section: " ^ s)))
+let key_values lines =
+  let t = Hashtbl.create 16 in
+  List.iter
+    (fun l ->
+      if String.trim l <> "" then
+        match String.index_opt l '=' with
+        | Some eq ->
+            Hashtbl.replace t (String.sub l 0 eq)
+              (String.sub l (eq + 1) (String.length l - eq - 1))
+        | None -> bad "key=value line" l)
     lines;
-  let code =
-    Array.of_list (List.rev_map parse_flat_instruction !program_lines)
-  in
-  let find_meta k =
-    match Hashtbl.find_opt meta k with
-    | Some v -> v
-    | None -> raise (Format_error ("missing meta key " ^ k))
+  t
+
+let require kvs key =
+  match Hashtbl.find_opt kvs key with
+  | Some v -> v
+  | None -> raise (Format_error ("missing key " ^ key))
+
+let program_of_lines lines =
+  match Asm.parse_flat (String.concat "\n" lines) with
+  | p -> p
+  | exception Asm.Parse_error { line; message } ->
+      bad ("instruction line (" ^ message ^ ")") (List.nth lines (line - 1))
+
+let regs_of_lines lines =
+  let regs = Array.make Reg.count 0L in
+  Hashtbl.iter
+    (fun name v ->
+      match Reg.of_name name, Int64.of_string_opt v with
+      | r, Some x -> regs.(Reg.index r) <- x
+      | _, None | (exception Not_found) -> bad "register line" (name ^ "=" ^ v))
+    (key_values lines);
+  regs
+
+let hex_value = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | 'A' .. 'F' as c -> Char.code c - 55
+  | _ -> -1
+
+let mem_of_lines lines =
+  let lines = List.map String.trim lines in
+  List.iter
+    (fun l -> if String.exists (fun c -> hex_value c < 0) l then bad "memory line" l)
+    lines;
+  let hex = String.concat "" lines in
+  if String.length hex mod 2 <> 0 then raise (Format_error "odd hex length");
+  Bytes.init (String.length hex / 2) (fun i ->
+      Char.chr ((hex_value hex.[2 * i] lsl 4) lor hex_value hex.[(2 * i) + 1]))
+
+let stored_names =
+  [ "meta"; "program"; "input_a.regs"; "input_a.mem"; "input_b.regs"; "input_b.mem" ]
+
+let stored_of_sections ?(extra = fun _ -> false) (doc : section list) : stored =
+  List.iter
+    (fun (name, _) ->
+      if not (List.mem name stored_names || extra name) then
+        raise (Format_error ("unknown section: [" ^ name ^ "]")))
+    doc;
+  let meta = key_values (section doc "meta") in
+  let input label =
+    {
+      Input.regs = regs_of_lines (section doc (label ^ ".regs"));
+      mem = mem_of_lines (section doc (label ^ ".mem"));
+    }
   in
   {
-    defense_name = find_meta "defense";
-    contract_name = find_meta "contract";
-    program =
-      {
-        Program.code;
-        code_base = Program.code_base_default;
-        inst_size = Program.inst_size_default;
-      };
-    input_a = { Input.regs = regs_a; mem = bytes_of_hex (Buffer.contents mem_a) };
-    input_b = { Input.regs = regs_b; mem = bytes_of_hex (Buffer.contents mem_b) };
+    defense_name = require meta "defense";
+    contract_name = require meta "contract";
+    program = program_of_lines (section doc "program");
+    input_a = input "input_a";
+    input_b = input "input_b";
     signature = Hashtbl.find_opt meta "signature";
     identity =
-      (match Hashtbl.find_opt meta "identity" with
-      | None -> None
-      | Some s -> (
-          match String.split_on_char ',' s with
-          | [ c; a; b ] -> (
-              match
-                ( Int64.of_string_opt c,
-                  Int64.of_string_opt a,
-                  Int64.of_string_opt b )
-              with
-              | Some c, Some a, Some b -> Some (c, a, b)
-              | _ -> raise (Format_error ("bad identity line: " ^ s)))
-          | _ -> raise (Format_error ("bad identity line: " ^ s))));
+      Option.map
+        (fun s ->
+          match List.map Int64.of_string_opt (String.split_on_char ',' s) with
+          | [ Some c; Some a; Some b ] -> (c, a, b)
+          | _ -> bad "identity line" s)
+        (Hashtbl.find_opt meta "identity");
   }
+
+(** Parse the lines of a violation block as written by {!output}. *)
+let parse lines = stored_of_sections (parse_doc Violation lines)
 
 (** Load a violation file written by {!save}. *)
 let load path : stored =
@@ -226,27 +295,21 @@ let mkdir_p dir =
 let save_quarantine ~dir ~seq ~(fault : Fault.t) ~defense_name ~contract_name
     (program : Program.flat) (input : Input.t option) : string =
   mkdir_p dir;
-  let path =
-    Filename.concat dir
-      (Printf.sprintf "q%04d_%s.amulet" seq (Fault.class_name (Fault.class_of fault)))
+  let cls = Fault.class_name (Fault.class_of fault) in
+  let path = Filename.concat dir (Printf.sprintf "q%04d_%s.amulet" seq cls) in
+  let meta =
+    key_value_lines
+      [
+        ("defense", defense_name);
+        ("contract", contract_name);
+        ("fault", cls);
+        ("fault_detail", Fault.to_string fault);
+      ]
   in
-  let out = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out out)
-    (fun () ->
-      Printf.fprintf out "amulet-quarantine 1\n";
-      Printf.fprintf out "[meta]\n";
-      Printf.fprintf out "defense=%s\n" defense_name;
-      Printf.fprintf out "contract=%s\n" contract_name;
-      Printf.fprintf out "fault=%s\n" (Fault.class_name (Fault.class_of fault));
-      Printf.fprintf out "fault_detail=%s\n" (Fault.to_string fault);
-      Printf.fprintf out "[program]\n";
-      Array.iter
-        (fun inst -> Printf.fprintf out "%s\n" (Inst.to_string inst))
-        program.Program.code;
-      match input with
-      | Some i -> write_input out "input_a" i
-      | None -> ());
+  let inputs = match input with Some i -> input_sections "input_a" i | None -> [] in
+  Out_channel.with_open_text path (fun out ->
+      output_string out
+        (render Quarantine (("meta", meta) :: program_section program :: inputs)));
   path
 
 (* ------------------------------------------------------------------ *)
@@ -257,15 +320,7 @@ let save_quarantine ~dir ~seq ~(fault : Fault.t) ~defense_name ~contract_name
     inputs (the stored form omits traces and the microarchitectural
     context).  Used when resuming a journaled campaign. *)
 let rehydrate ?sim_config (s : stored) : Violation.t =
-  let defense =
-    Option.value (Amulet_defenses.Defense.find s.defense_name)
-      ~default:Amulet_defenses.Defense.baseline
-  in
-  let contract =
-    Option.value
-      (Amulet_contracts.Contract.find s.contract_name)
-      ~default:defense.Amulet_defenses.Defense.contract
-  in
+  let defense = resolve_defense s.defense_name in
   let ex =
     Engine.create ?sim_config ~mode:Executor.Opt defense (Stats.create ())
   in
@@ -291,7 +346,7 @@ let rehydrate ?sim_config (s : stored) : Violation.t =
     ctrace_hash;
     trace_a_hash;
     trace_b_hash;
-    contract;
+    contract = resolve_contract defense s.contract_name;
     defense_name = s.defense_name;
     detection_seconds = 0.;
     signature = s.signature;

@@ -433,7 +433,7 @@ let test_violation_io_reanalyze () =
 
 let test_minimize_shrinks_and_preserves () =
   let v = find_speclfb_violation () in
-  let m = Minimize.minimize v in
+  let m = Minimize.minimize (Violation_io.of_violation v) in
   checkb "removed something" true (m.Minimize.removed > 0);
   checkb "kept the essentials" true (m.Minimize.kept >= 2);
   (* the minimized program must still violate *)

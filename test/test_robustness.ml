@@ -164,6 +164,30 @@ let test_journal_rejects_garbage () =
   | _ -> Alcotest.fail "expected Format_error");
   Sys.remove path
 
+(* A journal whose embedded violation names an unknown register is torn,
+   not fatal: recovery moves it aside and the campaign starts fresh. *)
+let test_journal_corrupt_violation_quarantined () =
+  let golden = In_channel.with_open_bin "golden/journal.amulet" In_channel.input_all in
+  let sub = "[input_a.regs]\nRAX=" in
+  let i =
+    let rec find i = if String.sub golden i (String.length sub) = sub then i else find (i + 1) in
+    find 0
+  in
+  let path = Filename.temp_file "amulet" ".journal" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.sub golden 0 i);
+      output_string oc "[input_a.regs]\nRZZ=";
+      let rest = i + String.length sub in
+      output_string oc (String.sub golden rest (String.length golden - rest)));
+  match Journal.recover path with
+  | Journal.Quarantined { corrupt_path; error } ->
+      checkb "moved aside" true (Sys.file_exists corrupt_path);
+      checkb "error names the line" true
+        (String.length error > 0);
+      Sys.remove corrupt_path
+  | Journal.Resumed _ -> Alcotest.fail "corrupt journal resumed"
+  | Journal.Fresh -> Alcotest.fail "corrupt journal reported missing"
+
 let test_checkpoint_resume_determinism () =
   let mk n = small_spec ~rounds:n ~seed:2024 () in
   (* the reference: one uninterrupted 10-round campaign *)
@@ -203,6 +227,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Slow test_journal_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_journal_rejects_garbage;
+          Alcotest.test_case "corrupt violation quarantined" `Quick
+            test_journal_corrupt_violation_quarantined;
           Alcotest.test_case "checkpoint/resume determinism" `Slow
             test_checkpoint_resume_determinism;
         ] );

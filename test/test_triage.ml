@@ -205,6 +205,75 @@ let test_empty_campaign_triage () =
   checki "clean dir loads empty" 0 (List.length stream);
   Unix.rmdir dir
 
+(* ------------------------------------------------------------------ *)
+(* The artifact codec: golden files and corrupt entries                *)
+(* ------------------------------------------------------------------ *)
+
+let read path = In_channel.with_open_bin path In_channel.input_all
+
+let write path contents =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+
+let replace_first ~sub ~by s =
+  let n = String.length sub in
+  let rec find i = if String.sub s i n = sub then i else find (i + 1) in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
+(* bytes a save function writes to a fresh file *)
+let saved save =
+  let tmp = Filename.temp_file "amulet-golden" ".amulet" in
+  save tmp;
+  let s = read tmp in
+  Sys.remove tmp;
+  s
+
+let test_golden_violation () =
+  let path = "golden/violation.amulet" in
+  checkb "sniffed as a violation" true
+    (Violation_io.kind_of_file path = Some Violation_io.Violation);
+  checks "save (load x) = x" (read path)
+    (saved (Violation_io.save (Violation_io.load path)))
+
+let test_golden_poc () =
+  let path = "golden/poc.amulet" in
+  checkb "sniffed as a PoC" true
+    (Violation_io.kind_of_file path = Some Violation_io.Poc);
+  checks "to_string (load x) = x" (read path)
+    (Triage.Poc.to_string (Triage.Poc.load path))
+
+let test_golden_journal () =
+  let path = "golden/journal.amulet" in
+  checkb "sniffed as a journal" true
+    (Violation_io.kind_of_file path = Some Violation_io.Journal);
+  checks "save (load x) = x" (read path) (saved (Journal.save (Journal.load path)))
+
+(* A malformed field value (unknown register, non-hex memory, bad branch
+   target) is a Format_error, so triage skips the entry and keeps going. *)
+let test_corrupt_entries_skipped () =
+  let good = read "golden/violation.amulet" in
+  let dir = temp_dir () in
+  let entries =
+    [
+      ("a_good.amulet", good);
+      ("b_reg.amulet", replace_first ~sub:"RAX=" ~by:"RZZ=" good);
+      ( "c_mem.amulet",
+        replace_first ~sub:"[input_a.mem]\n" ~by:"[input_a.mem]\nzz" good );
+      ("d_target.amulet", replace_first ~sub:"@" ~by:"@q" good);
+    ]
+  in
+  List.iter (fun (name, s) -> write (Filename.concat dir name) s) entries;
+  List.iter
+    (fun (name, _) ->
+      match Violation_io.load (Filename.concat dir name) with
+      | exception Violation_io.Format_error _ -> ()
+      | _ -> if name <> "a_good.amulet" then Alcotest.failf "%s loaded" name)
+    entries;
+  let stream = Triage.load [ dir ] in
+  checki "only the intact entry loads" 1 (List.length stream);
+  List.iter (fun (name, _) -> Sys.remove (Filename.concat dir name)) entries;
+  Unix.rmdir dir
+
 let () =
   Alcotest.run "triage"
     [
@@ -231,4 +300,12 @@ let () =
         ] );
       ( "empty",
         [ Alcotest.test_case "clean campaign" `Quick test_empty_campaign_triage ] );
+      ( "codec",
+        [
+          Alcotest.test_case "golden violation" `Quick test_golden_violation;
+          Alcotest.test_case "golden poc" `Quick test_golden_poc;
+          Alcotest.test_case "golden journal" `Quick test_golden_journal;
+          Alcotest.test_case "corrupt entries skipped" `Quick
+            test_corrupt_entries_skipped;
+        ] );
     ]
