@@ -137,11 +137,11 @@ let microbench () =
 (* Shared campaign spec                                                *)
 (* ------------------------------------------------------------------ *)
 
-let bench_spec ?(inputs = 10) ?(boosts = 4) ?(mode = Executor.Opt)
+let bench_spec ?(inputs = 10) ?(boosts = 4) ?(mode = Executor.Opt) ?engine
     ?(format = Utrace.L1d_tlb) ?contract ?sim_config ?generation
     ?(stop = None) ?(classify = true) ?(seed = 42) ?(programs = 20) defense =
   Run_spec.make ~defense ~rounds:programs ?stop_after:stop ~seed ~classify
-    ~inputs ~boosts ?contract ?generation ~mode ~trace_format:format
+    ~inputs ~boosts ?contract ?generation ~mode ?engine ~trace_format:format
     ?sim_config ()
 
 (* ------------------------------------------------------------------ *)
@@ -151,48 +151,61 @@ let bench_spec ?(inputs = 10) ?(boosts = 4) ?(mode = Executor.Opt)
 let table2 () =
   section "Table 2: time breakdown per test program, Naive vs Opt uarch-trace extraction";
   let programs = scale 4 and inputs = 8 and boosts = 4 in
-  let run mode =
+  let module Snapshot = Amulet_obs.Obs.Snapshot in
+  (* every row is read from the registry's timers; "others" is the
+     section's wall time they leave unaccounted *)
+  let run mode engine =
     let metrics = Amulet_obs.Obs.create () in
+    let t0 = Amulet_obs.Obs.Clock.now_s () in
     let fz =
-      Fuzzer.create ~metrics (bench_spec ~inputs ~boosts ~mode Defense.baseline)
+      Fuzzer.create ~metrics
+        (bench_spec ~inputs ~boosts ~mode ~engine Defense.baseline)
     in
     for _ = 1 to programs do
       ignore (Fuzzer.round fz)
     done;
-    let stats = Fuzzer.stats fz in
-    Stats.close stats;
-    (stats, metrics)
+    let wall = Amulet_obs.Obs.Clock.elapsed_s ~since:t0 in
+    let timers = (Snapshot.of_registry metrics).Snapshot.timers in
+    let seconds names =
+      List.fold_left
+        (fun acc name ->
+          match List.assoc_opt name timers with
+          | Some tm -> acc +. tm.Snapshot.total_s
+          | None -> acc)
+        0. names
+      /. float_of_int programs
+    in
+    let startup = seconds [ "engine.time.rebuild"; "engine.time.restore" ]
+    and simulate = seconds [ "engine.time.prime"; "engine.time.simulate" ]
+    and utrace = seconds [ "engine.time.utrace" ]
+    and generate = seconds [ "fuzzer.time.generate" ]
+    and ctrace = seconds [ "fuzzer.time.ctrace" ] in
+    let total = wall /. float_of_int programs in
+    let others =
+      Float.max 0. (total -. (startup +. simulate +. utrace +. generate +. ctrace))
+    in
+    ( [
+        ("sim startup", startup);
+        ("sim simulate", simulate);
+        ("  of which priming", seconds [ "engine.time.prime" ]);
+        ("uTrace extraction", utrace);
+        ("test generation", generate);
+        ("cTrace extraction", ctrace);
+        ("others", others);
+      ],
+      total )
   in
-  let naive, naive_metrics = run Executor.Naive in
-  let opt, opt_metrics = run Executor.Opt in
-  let per_program v = v /. float_of_int programs in
-  let nt = per_program (Stats.total naive) in
-  let ot = per_program (Stats.total opt) in
+  (* the paper's Naive restarts the simulator for every test case: a
+     rebuild per input, not a checkpoint rewind *)
+  let naive, nt = run Executor.Naive Engine.Naive in
+  let opt, ot = run Executor.Opt Engine.Pooled in
   Format.printf "%-22s %18s %18s@." "Component"
     (Printf.sprintf "Naive (s/prog)") (Printf.sprintf "Opt (s/prog)");
-  let print_row name n o =
-    Format.printf "%-22s %10.3f (%4.1f%%) %10.3f (%4.1f%%)@." name n
-      (100. *. n /. nt) o (100. *. o /. ot)
-  in
-  let row name cat =
-    print_row name
-      (per_program (Stats.seconds naive cat))
-      (per_program (Stats.seconds opt cat))
-  in
-  (* priming is billed to sim simulate; its own timer splits it out *)
-  let prime_s metrics =
-    let snap = Amulet_obs.Obs.Snapshot.of_registry metrics in
-    match List.assoc_opt "engine.time.prime" snap.Amulet_obs.Obs.Snapshot.timers with
-    | Some tm -> per_program tm.Amulet_obs.Obs.Snapshot.total_s
-    | None -> 0.
-  in
-  row "sim startup" Stats.Sim_startup;
-  row "sim simulate" Stats.Sim_simulate;
-  print_row "  of which priming" (prime_s naive_metrics) (prime_s opt_metrics);
-  row "uTrace extraction" Stats.Utrace_extraction;
-  row "test generation" Stats.Test_generation;
-  row "cTrace extraction" Stats.Ctrace_extraction;
-  row "others" Stats.Other;
+  List.iter2
+    (fun (name, n) (_, o) ->
+      Format.printf "%-22s %10.3f (%4.1f%%) %10.3f (%4.1f%%)@." name n
+        (100. *. n /. nt) o (100. *. o /. ot))
+    naive opt;
   Format.printf "%-22s %10.3f %19.3f@." "total" nt ot;
   Format.printf "@.Opt speedup per test program: %.1fx  (paper: 13x)@." (nt /. ot)
 

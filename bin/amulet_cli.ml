@@ -197,6 +197,18 @@ let metrics_t =
            JSON.  Trace-invisible: enabling telemetry never changes traces \
            or findings.")
 
+(* --metrics FILE, shared by fuzz/sweep/serve: a live registry (noop
+   without FILE) and the writer of the run's snapshot to FILE. *)
+let metrics_sink ~json metrics_out =
+  match metrics_out with
+  | None -> (Amulet_obs.Obs.noop, fun _ -> ())
+  | Some path ->
+      ( Amulet_obs.Obs.create (),
+        fun snapshot ->
+          Output.write_file path (Amulet_obs.Obs.Snapshot.to_json snapshot);
+          (if json then Format.eprintf else Format.printf)
+            "telemetry written to %s@." path )
+
 (* campaign-result JSON shared by fuzz --json *)
 let result_json (r : Campaign.result) =
   Json.Obj
@@ -427,11 +439,7 @@ let fuzz_cmd =
           j.Journal.programs_run j.Journal.n_programs
           (List.length j.Journal.violations)
     | None -> ());
-    let metrics =
-      match metrics_out with
-      | Some _ -> Amulet_obs.Obs.create ()
-      | None -> Amulet_obs.Obs.noop
-    in
+    let metrics, write_metrics = metrics_sink ~json metrics_out in
     (* -j n: an n-shard sweep of this one preset *)
     let r, telemetry =
       if parallel > 1 then begin
@@ -456,11 +464,7 @@ let fuzz_cmd =
         (r, r.Campaign.metrics)
       end
     in
-    (match metrics_out with
-    | None -> ()
-    | Some path ->
-        Output.write_file path (Amulet_obs.Obs.Snapshot.to_json telemetry);
-        say "telemetry written to %s@." path);
+    write_metrics telemetry;
     if parallel > 1 && not json then
       List.iteri
         (fun i v -> Format.printf "@.--- violation %d ---@.%a@." (i + 1) Violation.pp v)
@@ -505,7 +509,13 @@ let fuzz_cmd =
 (* sweep                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let sweep_cmd =
+(* The job list shared by sweep and serve: the selected presets, each
+   split into seed shards built from the same flags, so the two paths
+   fingerprint-compare.  The term yields a thunk so that an unknown preset
+   or an unreadable corpus seed fails inside [Output.guarded]. *)
+type sweep_jobs = { presets : Defense.t list; jobs : Sweep.job list; seed : int }
+
+let sweep_jobs_t =
   let presets =
     Arg.(
       value & pos_all string []
@@ -513,12 +523,6 @@ let sweep_cmd =
           ~doc:
             "Defense presets to sweep; names or case-insensitive globs \
              ($(b,invisispec*), $(b,*patched)).  Default: every preset.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Worker domains for the work-stealing scheduler.")
   in
   let rounds =
     Arg.(
@@ -546,6 +550,35 @@ let sweep_cmd =
       value & opt (some float) None
       & info [ "budget-ms" ] ~docv:"MS" ~doc:"Wall-clock budget per shard.")
   in
+  let make names rounds shards inputs boosts deadline_ms budget_ms seed mode
+      engine static_filter generation_of () =
+    match Sweep.select names with
+    | Error msg -> failwith msg
+    | Ok presets ->
+        let make_spec d =
+          Run_spec.make ~defense:d ~engine ~mode ~inputs ~boosts ?deadline_ms
+            ?budget_ms ~static_filter
+            ~generation:(generation_of Generator.default) ()
+        in
+        {
+          presets;
+          jobs =
+            Sweep.jobs ~presets ~shards_per_preset:shards ~rounds ~seed
+              ~make_spec ();
+          seed;
+        }
+  in
+  Term.(
+    const make $ presets $ rounds $ shards $ inputs $ boosts $ deadline_ms
+    $ budget_ms $ seed_t $ mode_t $ engine_t $ static_filter_t $ generation_t)
+
+let sweep_cmd =
+  let domains =
+    Arg.(
+      value & opt int 1
+      & info [ "domains" ] ~docv:"N"
+          ~doc:"Worker domains for the work-stealing scheduler.")
+  in
   let out =
     Arg.(
       value & opt string "BENCH_sweep.json"
@@ -557,60 +590,32 @@ let sweep_cmd =
       & info [ "journal-dir" ] ~docv:"DIR"
           ~doc:"Checkpoint every shard into DIR (shard_<id>_<defense>.json).")
   in
-  let run presets domains rounds shards inputs boosts deadline_ms budget_ms seed
-      mode engine static_filter generation_of out journal_dir metrics_out json =
+  let run sweep_jobs domains out journal_dir metrics_out json =
    Output.guarded @@ fun () ->
     let say fmt = (if json then Format.eprintf else Format.printf) fmt in
-    match Sweep.select presets with
-    | Error msg ->
-        Format.eprintf "amulet: %s@." msg;
-        Output.exit_fault
-    | Ok selected ->
-        let make_spec d =
-          Run_spec.make ~defense:d ~engine ~mode ~inputs ~boosts ?deadline_ms
-            ?budget_ms ~static_filter
-            ~generation:(generation_of Generator.default) ()
-        in
-        let js =
-          Sweep.jobs ~presets:selected ~shards_per_preset:shards ~rounds ~seed
-            ~make_spec ()
-        in
-        say "sweeping %d preset(s), %d job(s) on %d domain(s), seed %d...@."
-          (List.length selected) (List.length js) domains seed;
-        let metrics =
-          match metrics_out with
-          | Some _ -> Amulet_obs.Obs.create ()
-          | None -> Amulet_obs.Obs.noop
-        in
-        (match journal_dir with
-        | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
-        | _ -> ());
-        let report = Sweep.run ~domains ~metrics ?journal_dir js in
-        let doc = Sweep.to_json report in
-        Output.write_file out doc;
-        say "report written to %s (fingerprint %s)@." out
-          (Sweep.fingerprint report);
-        (match metrics_out with
-        | None -> ()
-        | Some path ->
-            Output.write_file path
-              (Amulet_obs.Obs.Snapshot.to_json report.Sweep.metrics);
-            say "telemetry written to %s@." path);
-        if json then print_endline doc
-        else Format.printf "%a" Sweep.pp report;
-        if report.Sweep.crashed > 0 then Output.exit_fault
-        else if
-          List.exists
-            (fun r -> Campaign.detected r.Sweep.result)
-            report.Sweep.rows
-        then Output.exit_violation
-        else Output.exit_clean
+    let { presets; jobs; seed } = sweep_jobs () in
+    say "sweeping %d preset(s), %d job(s) on %d domain(s), seed %d...@."
+      (List.length presets) (List.length jobs) domains seed;
+    let metrics, write_metrics = metrics_sink ~json metrics_out in
+    (match journal_dir with
+    | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
+    | _ -> ());
+    let report = Sweep.run ~domains ~metrics ?journal_dir jobs in
+    let doc = Sweep.to_json report in
+    Output.write_file out doc;
+    say "report written to %s (fingerprint %s)@." out (Sweep.fingerprint report);
+    write_metrics report.Sweep.metrics;
+    if json then print_endline doc else Format.printf "%a" Sweep.pp report;
+    if report.Sweep.crashed > 0 then Output.exit_fault
+    else if
+      List.exists (fun r -> Campaign.detected r.Sweep.result) report.Sweep.rows
+    then Output.exit_violation
+    else Output.exit_clean
   in
   let term =
     Term.(
-      const run $ presets $ domains $ rounds $ shards $ inputs $ boosts
-      $ deadline_ms $ budget_ms $ seed_t $ mode_t $ engine_t $ static_filter_t
-      $ generation_t $ out $ journal_dir $ metrics_t $ json_t)
+      const run $ sweep_jobs_t $ domains $ out $ journal_dir $ metrics_t
+      $ json_t)
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -626,12 +631,6 @@ let sweep_cmd =
 (* ------------------------------------------------------------------ *)
 
 let serve_cmd =
-  let presets =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"PRESET"
-          ~doc:"Defense presets, as for $(b,amulet sweep).  Default: all.")
-  in
   let workers =
     Arg.(
       value & opt int 2
@@ -640,32 +639,6 @@ let serve_cmd =
             "Local worker processes to spawn.  $(b,0) spawns none — the \
              coordinator then waits for external $(b,amulet worker \
              --connect) processes.")
-  in
-  let rounds =
-    Arg.(
-      value & opt int 20
-      & info [ "rounds" ] ~docv:"N" ~doc:"Fuzzing rounds per shard.")
-  in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N" ~doc:"Seed shards per preset.")
-  in
-  let inputs =
-    Arg.(value & opt int 10 & info [ "i"; "inputs" ] ~doc:"Base inputs per program.")
-  in
-  let boosts =
-    Arg.(value & opt int 4 & info [ "b"; "boosts" ] ~doc:"Boosted mutants per base input.")
-  in
-  let deadline_ms =
-    Arg.(
-      value & opt (some float) None
-      & info [ "deadline-ms" ] ~docv:"MS" ~doc:"Wall-clock budget per fuzzing round.")
-  in
-  let budget_ms =
-    Arg.(
-      value & opt (some float) None
-      & info [ "budget-ms" ] ~docv:"MS" ~doc:"Wall-clock budget per shard.")
   in
   let socket =
     Arg.(
@@ -720,100 +693,72 @@ let serve_cmd =
       value & opt string "BENCH_serve.json"
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Where to write the serve report JSON.")
   in
-  let run presets workers rounds shards inputs boosts deadline_ms budget_ms
-      seed mode engine static_filter generation_of socket journal_dir
-      heartbeat_s lease_timeout_s max_attempts idle_timeout_s worker_chaos out
-      metrics_out json =
+  let run sweep_jobs workers socket journal_dir heartbeat_s lease_timeout_s
+      max_attempts idle_timeout_s worker_chaos out metrics_out json =
    Output.guarded @@ fun () ->
     let say fmt = (if json then Format.eprintf else Format.printf) fmt in
-    match Sweep.select presets with
-    | Error msg ->
-        Format.eprintf "amulet: %s@." msg;
-        Output.exit_fault
-    | Ok selected ->
-        (* the job list is built exactly as `amulet sweep` builds it, so the
-           two paths fingerprint-compare for the same flags *)
-        let make_spec d =
-          Run_spec.make ~defense:d ~engine ~mode ~inputs ~boosts ?deadline_ms
-            ?budget_ms ~static_filter
-            ~generation:(generation_of Generator.default) ()
-        in
-        let js =
-          Sweep.jobs ~presets:selected ~shards_per_preset:shards ~rounds ~seed
-            ~make_spec ()
-        in
-        let pid = Unix.getpid () in
-        let socket =
-          match socket with
-          | Some s -> s
-          | None ->
-              Filename.concat (Filename.get_temp_dir_name ())
-                (Printf.sprintf "amulet-serve-%d.sock" pid)
-        in
-        let journal_dir =
-          match journal_dir with
-          | Some d -> d
-          | None ->
-              Filename.concat (Filename.get_temp_dir_name ())
-                (Printf.sprintf "amulet-serve-%d.journals" pid)
-        in
-        if not (Sys.file_exists journal_dir) then Sys.mkdir journal_dir 0o755;
-        let metrics =
-          match metrics_out with
-          | Some _ -> Amulet_obs.Obs.create ()
-          | None -> Amulet_obs.Obs.noop
-        in
-        (* bind before spawning so workers never see a missing socket *)
-        let coord =
-          Coordinator.create ~socket ~metrics ~journal_dir ~heartbeat_s
-            ~lease_timeout_s ~max_attempts ~idle_timeout_s ()
-        in
-        say "serving %d preset(s), %d job(s) on %s, %d local worker(s)...@."
-          (List.length selected) (List.length js) socket workers;
-        let spawn i =
-          let args =
-            [
-              Sys.executable_name; "worker"; "--connect"; socket;
-              "--name"; Printf.sprintf "local-%d" i;
-              "--seed"; string_of_int (seed + i);
-            ]
-            @ (match worker_chaos with
-              | Some p -> [ "--chaos-kill"; string_of_float p ]
-              | None -> [])
-          in
-          (* workers inherit stderr for both streams: stdout stays clean for
-             the coordinator's --json document *)
-          Unix.create_process Sys.executable_name (Array.of_list args)
-            Unix.stdin Unix.stderr Unix.stderr
-        in
-        let pids = List.init workers spawn in
-        let report = Coordinator.serve coord js in
-        List.iter
-          (fun p -> try ignore (Unix.waitpid [] p) with Unix.Unix_error _ -> ())
-          pids;
-        let doc = Coordinator.to_json report in
-        Output.write_file out doc;
-        say "report written to %s (fingerprint %s)@." out
-          report.Coordinator.fingerprint;
-        (match metrics_out with
-        | None -> ()
-        | Some path ->
-            Output.write_file path
-              (Amulet_obs.Obs.Snapshot.to_json report.Coordinator.metrics);
-            say "telemetry written to %s@." path);
-        if json then print_endline doc
-        else Format.printf "%a" Coordinator.pp report;
-        if report.Coordinator.crashed > 0 then Output.exit_fault
-        else if report.Coordinator.violations > 0 then Output.exit_violation
-        else Output.exit_clean
+    let { presets; jobs; seed } = sweep_jobs () in
+    let pid = Unix.getpid () in
+    let socket =
+      match socket with
+      | Some s -> s
+      | None ->
+          Filename.concat (Filename.get_temp_dir_name ())
+            (Printf.sprintf "amulet-serve-%d.sock" pid)
+    in
+    let journal_dir =
+      match journal_dir with
+      | Some d -> d
+      | None ->
+          Filename.concat (Filename.get_temp_dir_name ())
+            (Printf.sprintf "amulet-serve-%d.journals" pid)
+    in
+    if not (Sys.file_exists journal_dir) then Sys.mkdir journal_dir 0o755;
+    let metrics, write_metrics = metrics_sink ~json metrics_out in
+    (* bind before spawning so workers never see a missing socket *)
+    let coord =
+      Coordinator.create ~socket ~metrics ~journal_dir ~heartbeat_s
+        ~lease_timeout_s ~max_attempts ~idle_timeout_s ()
+    in
+    say "serving %d preset(s), %d job(s) on %s, %d local worker(s)...@."
+      (List.length presets) (List.length jobs) socket workers;
+    let spawn i =
+      let args =
+        [
+          Sys.executable_name; "worker"; "--connect"; socket;
+          "--name"; Printf.sprintf "local-%d" i;
+          "--seed"; string_of_int (seed + i);
+        ]
+        @ (match worker_chaos with
+          | Some p -> [ "--chaos-kill"; string_of_float p ]
+          | None -> [])
+      in
+      (* workers inherit stderr for both streams: stdout stays clean for
+         the coordinator's --json document *)
+      Unix.create_process Sys.executable_name (Array.of_list args)
+        Unix.stdin Unix.stderr Unix.stderr
+    in
+    let pids = List.init workers spawn in
+    let report = Coordinator.serve coord jobs in
+    List.iter
+      (fun p -> try ignore (Unix.waitpid [] p) with Unix.Unix_error _ -> ())
+      pids;
+    let doc = Coordinator.to_json report in
+    Output.write_file out doc;
+    say "report written to %s (fingerprint %s)@." out
+      report.Coordinator.fingerprint;
+    write_metrics report.Coordinator.metrics;
+    if json then print_endline doc
+    else Format.printf "%a" Coordinator.pp report;
+    if report.Coordinator.crashed > 0 then Output.exit_fault
+    else if report.Coordinator.violations > 0 then Output.exit_violation
+    else Output.exit_clean
   in
   let term =
     Term.(
-      const run $ presets $ workers $ rounds $ shards $ inputs $ boosts
-      $ deadline_ms $ budget_ms $ seed_t $ mode_t $ engine_t $ static_filter_t
-      $ generation_t $ socket $ journal_dir $ heartbeat_s $ lease_timeout_s
-      $ max_attempts $ idle_timeout_s $ worker_chaos $ out $ metrics_t
-      $ json_t)
+      const run $ sweep_jobs_t $ workers $ socket $ journal_dir $ heartbeat_s
+      $ lease_timeout_s $ max_attempts $ idle_timeout_s $ worker_chaos $ out
+      $ metrics_t $ json_t)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1401,7 +1346,7 @@ let corpus_cmd =
     let text = In_channel.with_open_text file In_channel.input_all in
     let c =
       try C.of_string text
-      with Failure _ -> (
+      with Failure corpus_error -> (
         (* not a bare checkpoint: maybe a campaign journal carrying one *)
         match Journal.load file with
         | { Journal.corpus = Some s; _ } -> C.of_string s
@@ -1411,7 +1356,9 @@ let corpus_cmd =
              ^ ": journal has no embedded corpus (not a --guided campaign?)")
         | exception Journal.Format_error _ ->
             failwith
-              (file ^ ": neither a corpus checkpoint nor a campaign journal"))
+              (Printf.sprintf
+                 "%s: neither a corpus checkpoint nor a campaign journal (%s)"
+                 file corpus_error))
     in
     let p = C.params c in
     let cov = C.coverage c in

@@ -69,7 +69,6 @@ let run ?(on_violation = fun (_ : Violation.t) -> ())
   (* the fuzzer's stats sink may be shared across campaigns (injected warm
      engine): account in deltas against its state at campaign start *)
   let tc0 = Stats.test_cases (Fuzzer.stats fuzzer) in
-  let faults0 = Stats.fault_counts (Fuzzer.stats fuzzer) in
   (* baselines carried over from the checkpoint being resumed *)
   let base_programs, base_discarded, base_tc, base_faults, base_times, base_violations =
     match resume with
@@ -117,9 +116,7 @@ let run ?(on_violation = fun (_ : Violation.t) -> ())
   let merged_faults () =
     let c = Fault.Counters.create () in
     Fault.Counters.add_list c base_faults;
-    Fault.Counters.merge c (Stats.fault_counters (Fuzzer.stats fuzzer));
-    (* subtract the shared sink's pre-campaign counts *)
-    List.iter (fun (cls, n) -> Fault.Counters.record_class c ~n:(-n) cls) faults0;
+    Fault.Counters.add_list c (Fuzzer.fault_counts fuzzer);
     Fault.Counters.to_list c
   in
   let checkpoint () =

@@ -55,9 +55,10 @@ val run :
     the same totals as an uninterrupted run.  [metrics] (default noop) is
     threaded down to the fuzzer/engine/simulator counters; the
     campaign-local delta lands in [result.metrics].  [engine] injects a
-    warmed engine + stats sink (see {!Fuzzer.create}); accounting is
-    delta-based, so a sink shared across successive campaigns stays
-    correct.  When [spec.budget_ms] runs out — even mid-round — the
+    warmed engine + stats sink (see {!Fuzzer.create}); test cases are
+    counted as a delta of the sink, so a sink shared across successive
+    campaigns stays correct, and faults are counted by the campaign's own
+    fuzzer.  When [spec.budget_ms] runs out — even mid-round — the
     campaign stops at the last {e completed} round boundary with a clean
     final checkpoint ([result.budget_exhausted] set), so a resume replays
     the interrupted round instead of double-counting it. *)

@@ -58,6 +58,8 @@ type t = {
   m_rebuild_time : Obs.timer;
   m_restore_time : Obs.timer;
   m_prime_time : Obs.timer;
+  m_simulate_time : Obs.timer;
+  m_utrace_time : Obs.timer;
   m_reuse_depth : Obs.gauge;
       (* inputs served by the current pooled boot state *)
   m_batches : Obs.counter;
@@ -93,6 +95,8 @@ let create ?(boot_insts = Simulator.default_boot_insts) ?(format = Utrace.L1d_tl
     m_rebuild_time = Obs.timer metrics "engine.time.rebuild";
     m_restore_time = Obs.timer metrics "engine.time.restore";
     m_prime_time = Obs.timer metrics "engine.time.prime";
+    m_simulate_time = Obs.timer metrics "engine.time.simulate";
+    m_utrace_time = Obs.timer metrics "engine.time.utrace";
     m_reuse_depth = Obs.gauge metrics "engine.pool.reuse_depth";
     m_batches = Obs.counter metrics "engine.batches";
     m_inputs = Obs.counter metrics "engine.inputs_run";
@@ -126,11 +130,10 @@ let rebuild t =
   t.sims_created <- t.sims_created + 1;
   Obs.incr t.m_rebuilds;
   let sim =
-    Stats.time t.stats Stats.Sim_startup (fun () ->
-        Obs.time t.m_rebuild_time (fun () ->
-            Simulator.create ~metrics:(Stats.registry t.stats)
-              ~boot_insts:t.boot_insts ~pages:t.defense.Defense.sandbox_pages
-              t.sim_config))
+    Obs.time t.m_rebuild_time (fun () ->
+        Simulator.create ~metrics:(Stats.registry t.stats)
+          ~boot_insts:t.boot_insts ~pages:t.defense.Defense.sandbox_pages
+          t.sim_config)
   in
   t.sim <- Some sim;
   sim
@@ -142,8 +145,7 @@ let pristine t =
   match t.kind, t.sim, t.boot_snapshot with
   | Naive, _, _ -> rebuild t
   | Pooled, Some sim, Some snap ->
-      Stats.time t.stats Stats.Sim_startup (fun () ->
-          Obs.time t.m_restore_time (fun () -> Simulator.restore sim snap));
+      Obs.time t.m_restore_time (fun () -> Simulator.restore sim snap);
       t.restores <- t.restores + 1;
       Obs.incr t.m_restores;
       Obs.set_gauge t.m_reuse_depth (float_of_int t.restores);
@@ -168,7 +170,7 @@ let current_sim t = match t.sim with Some s -> s | None -> pristine t
 let warm t = match t.kind with Pooled -> ignore (current_sim t) | Naive -> ()
 
 let extract_trace t sim =
-  Stats.time t.stats Stats.Utrace_extraction (fun () ->
+  Obs.time t.m_utrace_time (fun () ->
       match t.format with
       | Utrace.L1d_tlb ->
           Utrace.State_snapshot
@@ -186,11 +188,10 @@ let extract_trace t sim =
       | Utrace.Pc_order -> Utrace.Pc_sequence (Simulator.execution_order sim))
 
 let prime t sim =
-  Stats.time t.stats Stats.Sim_simulate (fun () ->
-      Obs.time t.m_prime_time (fun () ->
-          match t.defense.Defense.priming with
-          | Defense.Fill_sets -> ignore (Simulator.prime_with_fills sim)
-          | Defense.Flush -> Simulator.prime_with_flush sim))
+  Obs.time t.m_prime_time (fun () ->
+      match t.defense.Defense.priming with
+      | Defense.Fill_sets -> ignore (Simulator.prime_with_fills sim)
+      | Defense.Flush -> Simulator.prime_with_flush sim)
 
 (* The chaos hook (robustness self-tests): one draw per test case may raise
    an injected crash or substitute an injected fault for the real outcome. *)
@@ -210,9 +211,7 @@ let run_loaded t sim flat (input : Input.t) =
   Simulator.load_state sim (Input.to_state input);
   Simulator.clear_access_order sim;
   let context = Simulator.snapshot_context sim in
-  let stats_run =
-    Stats.time t.stats Stats.Sim_simulate (fun () -> Simulator.run sim flat)
-  in
+  let stats_run = Obs.time t.m_simulate_time (fun () -> Simulator.run sim flat) in
   Stats.count_test_case t.stats;
   let trace = extract_trace t sim in
   let run_fault =

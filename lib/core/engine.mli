@@ -69,7 +69,10 @@ val create :
 (** [kind] defaults to [Pooled].  [chaos], when set, arms a probabilistic
     fault injector: each test case may raise {!Fault.Injected_crash} or
     report an injected fault instead of its real outcome (robustness
-    self-tests only). *)
+    self-tests only).  The engine's metrics go to the stats' registry,
+    among them one timer per region of the paper's Table 2:
+    [engine.time.rebuild], [.restore], [.prime], [.simulate] and
+    [.utrace]. *)
 
 val kind : t -> kind
 

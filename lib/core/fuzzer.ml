@@ -24,6 +24,8 @@ type t = {
   mutable rng : Rng.t;
   started_at : float;
   mutable quarantined : int;
+  faults : Fault.Counters.t;  (* every fault this fuzzer discarded *)
+  metrics : Obs.t;
   mutable corpus : Amulet_corpus.Corpus.t option;
       (* present iff the generation strategy is [Guided]; replaced
          wholesale by journal resume *)
@@ -37,7 +39,7 @@ type t = {
       (* pre-decode of the round's program, shared by every ctrace
          collection (base inputs and all their mutants); keyed on the flat
          program by physical equality *)
-  (* fuzzer-level telemetry, resolved once against the stats registry *)
+  (* fuzzer-level telemetry, resolved once against [metrics] *)
   m_rounds : Obs.counter;
   m_base_inputs : Obs.counter;
   m_mutants : Obs.counter;
@@ -47,6 +49,8 @@ type t = {
          for *)
   m_violations : Obs.counter;
   m_discards : Obs.counter;
+  m_generate_time : Obs.timer;  (* program generation and mutation *)
+  m_ctrace_time : Obs.timer;  (* contract traces (leakage model) *)
   (* static pre-filter telemetry *)
   m_static_analyzed : Obs.counter;
   m_static_leaky : Obs.counter;
@@ -118,6 +122,8 @@ let create ?(metrics = Obs.noop) ?engine (spec : Run_spec.t) =
     rng = Rng.create ~seed:spec.Run_spec.seed;
     started_at = Obs.Clock.now_s ();
     quarantined = 0;
+    faults = Fault.Counters.create ();
+    metrics;
     corpus;
     last_feedback = None;
     budget_check = None;
@@ -128,6 +134,8 @@ let create ?(metrics = Obs.noop) ?engine (spec : Run_spec.t) =
     m_mutants_same_class = Obs.counter metrics "fuzzer.boost.same_class";
     m_violations = Obs.counter metrics "fuzzer.violations";
     m_discards = Obs.counter metrics "fuzzer.discards";
+    m_generate_time = Obs.timer metrics "fuzzer.time.generate";
+    m_ctrace_time = Obs.timer metrics "fuzzer.time.ctrace";
     m_static_analyzed = Obs.counter metrics "static.analyzed";
     m_static_leaky = Obs.counter metrics "static.leaky";
     m_static_screened = Obs.counter metrics "static.screened";
@@ -143,6 +151,7 @@ let stats t = t.stats
 let generator t = Run_spec.generator_config t.spec
 let contract t = t.contract
 let quarantined t = t.quarantined
+let fault_counts t = Fault.Counters.to_list t.faults
 let corpus t = t.corpus
 
 (** Text checkpoint of the guided corpus ([None] for random specs);
@@ -230,7 +239,7 @@ let decoded_of t flat =
    tracker for boosting. *)
 let ctrace_of t flat input ~collect_taint =
   let decoded = decoded_of t flat in
-  Stats.time t.stats Stats.Ctrace_extraction (fun () ->
+  Obs.time t.m_ctrace_time (fun () ->
       let state = Input.to_state input in
       Leakage_model.collect ~collect_taint ~decoded t.contract flat state)
 
@@ -304,8 +313,16 @@ let quarantine t flat ?input fault =
              ~contract_name:t.contract.Contract.name flat input)
       with Sys_error _ -> ())
 
+(* Classified faults are mirrored into [fuzzer.fault.<class>] counters so
+   fault-class rates appear in metric snapshots. *)
+let count_fault t fault =
+  Fault.Counters.record t.faults fault;
+  Obs.incr
+    (Obs.counter t.metrics
+       ("fuzzer.fault." ^ Fault.class_name (Fault.class_of fault)))
+
 let discard t flat ?input fault =
-  Stats.count_fault t.stats fault;
+  count_fault t fault;
   Obs.incr t.m_discards;
   quarantine t flat ?input fault;
   Discarded fault
@@ -406,7 +423,6 @@ let test_program_exn t (flat : Program.flat) dl : round_result =
           match !candidate with
           | None -> No_violation { test_cases = Array.length arr }
           | Some (a, b, ta, tb, ctx) ->
-              Stats.count_violation t.stats;
               Obs.incr t.m_violations;
               Found
                 {
@@ -486,7 +502,7 @@ let generate_filtered t gen =
       Some (draw 1)
 
 let gen_fresh t () =
-  Stats.time t.stats Stats.Test_generation (fun () ->
+  Obs.time t.m_generate_time (fun () ->
       Generator.generate_flat ~cfg:(generator t) t.rng)
 
 (* One blind-random round (the classic [Random] strategy). *)
@@ -511,7 +527,7 @@ let guided_round t c : round_result =
         (None, gen_fresh t ())
     | Corpus.Mutate e -> (
         match
-          Stats.time t.stats Stats.Test_generation (fun () ->
+          Obs.time t.m_generate_time (fun () ->
               Mutate.mutate ~cfg:(generator t)
                 ~energy:params.Corpus.energy t.rng e.Corpus.program)
         with
@@ -575,6 +591,6 @@ let round t : round_result =
         (* no program to quarantine: generation/mutation itself misbehaved
            (test_program contains its own failures) *)
         let fault = Fault.of_exn exn in
-        Stats.count_fault t.stats fault;
+        count_fault t fault;
         Discarded fault
   else body ()

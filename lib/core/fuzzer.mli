@@ -11,8 +11,9 @@ val create :
   ?metrics:Amulet_obs.Obs.t -> ?engine:Engine.t * Stats.t -> Run_spec.t -> t
 (** Build a fuzzer from a {!Run_spec.t} (defense, seed and all execution
     knobs live in the spec).  [metrics] (default noop) receives the
-    [fuzzer.*] counters and is threaded through stats and engine down
-    to the simulator's [uarch.*] hardware counters.  [engine] injects an
+    [fuzzer.*] counters and the [fuzzer.time.generate] and
+    [fuzzer.time.ctrace] timers, and is threaded through stats and engine
+    down to the simulator's [uarch.*] hardware counters.  [engine] injects an
     existing (typically warmed) engine and its stats sink instead of
     building one — the sweep orchestrator uses this to reuse one pooled
     engine across every job of the same defense config; the spec's
@@ -35,6 +36,10 @@ val set_budget_check : t -> (unit -> bool) -> unit
 
 val quarantined : t -> int
 (** Test cases written to the quarantine corpus so far. *)
+
+val fault_counts : t -> (Fault.cls * int) list
+(** Per-class counts of every fault this fuzzer discarded (each is also
+    counted in [fuzzer.fault.<class>]). *)
 
 val corpus : t -> Amulet_corpus.Corpus.t option
 (** The live seed corpus ([Some] iff the spec's generation strategy is

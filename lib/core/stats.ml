@@ -1,110 +1,20 @@
-(** Wall-clock accounting for the executor pipeline, reproducing the
-    breakdown of the paper's Table 2 (gem5 startup / gem5 simulate / trace
-    extraction / test generation / contract-trace extraction / others).
-
-    Also owns the session's telemetry registry: every stats instance
-    carries an {!Amulet_obs.Obs.t} that the executor threads down into the
-    simulator ([uarch.*] hardware counters) and that the fuzzer/campaign
-    layers count into ([fuzzer.*]).  Classified faults are mirrored into
-    [fuzzer.fault.<class>] counters so fault-class rates appear in metric
-    snapshots alongside {!Fault.Counters}. *)
-
-open Amulet_obs
-
-type category =
-  | Sim_startup
-  | Sim_simulate
-  | Utrace_extraction
-  | Test_generation
-  | Ctrace_extraction
-  | Other
-
-let all_categories =
-  [ Sim_startup; Sim_simulate; Utrace_extraction; Test_generation; Ctrace_extraction; Other ]
-
-let category_name = function
-  | Sim_startup -> "sim startup"
-  | Sim_simulate -> "sim simulate"
-  | Utrace_extraction -> "uTrace extraction"
-  | Test_generation -> "test generation"
-  | Ctrace_extraction -> "cTrace extraction"
-  | Other -> "others"
+(** The engine's work counts (test cases run, validation reruns) and the
+    session's telemetry registry.  Every stats instance carries an
+    {!Amulet_obs.Obs.t} that the engine threads down into the simulator
+    ([uarch.*] hardware counters, [engine.time.*] timers); the paper's
+    Table 2 time breakdown is read from those timers. *)
 
 type t = {
-  buckets : (category, float ref) Hashtbl.t;
-  mutable started_at : float;
   mutable test_cases : int;
-  mutable violations : int;
   mutable validations : int;
-  faults : Fault.Counters.t;
-  metrics : Obs.t;
+  metrics : Amulet_obs.Obs.t;
 }
 
-let create ?(metrics = Obs.noop) () =
-  let buckets = Hashtbl.create 8 in
-  List.iter (fun c -> Hashtbl.add buckets c (ref 0.)) all_categories;
-  {
-    buckets;
-    started_at = Obs.Clock.now_s ();
-    test_cases = 0;
-    violations = 0;
-    validations = 0;
-    faults = Fault.Counters.create ();
-    metrics;
-  }
+let create ?(metrics = Amulet_obs.Obs.noop) () =
+  { test_cases = 0; validations = 0; metrics }
 
 let registry t = t.metrics
-
-let bucket t c = Hashtbl.find t.buckets c
-
-(** Time the thunk, attributing its wall time to [c]. *)
-let time t c f =
-  let t0 = Obs.Clock.now_s () in
-  let r = f () in
-  let b = bucket t c in
-  b := !b +. Obs.Clock.elapsed_s ~since:t0;
-  r
-
-let add t c seconds =
-  let b = bucket t c in
-  b := !b +. seconds
-
 let count_test_case t = t.test_cases <- t.test_cases + 1
-let count_violation t = t.violations <- t.violations + 1
 let count_validation t = t.validations <- t.validations + 1
-
-let count_fault t f =
-  Fault.Counters.record t.faults f;
-  Obs.incr
-    (Obs.counter t.metrics
-       ("fuzzer.fault." ^ Fault.class_name (Fault.class_of f)))
-
-let fault_counters t = t.faults
-let fault_counts t = Fault.Counters.to_list t.faults
-
-let total t = Hashtbl.fold (fun _ b acc -> acc +. !b) t.buckets 0.
-let elapsed t = Obs.Clock.elapsed_s ~since:t.started_at
-let seconds t c = !(bucket t c)
 let test_cases t = t.test_cases
-let violations t = t.violations
 let validations t = t.validations
-
-(** Attribute time not captured by any explicit bucket to [Other]. *)
-let close t =
-  let accounted = total t in
-  let e = elapsed t in
-  if e > accounted then add t Other (e -. accounted)
-
-let throughput t =
-  let e = elapsed t in
-  if e <= 0. then 0. else float_of_int t.test_cases /. e
-
-let pp fmt t =
-  let tot = total t in
-  List.iter
-    (fun c ->
-      let s = seconds t c in
-      Format.fprintf fmt "%-18s %8.2f s (%5.1f%%)@." (category_name c) s
-        (if tot > 0. then 100. *. s /. tot else 0.))
-    all_categories;
-  Format.fprintf fmt "%-18s %8.2f s (100.0%%)@." "total" tot

@@ -1,50 +1,21 @@
-(** Wall-clock accounting for the executor pipeline (the paper's Table 2
-    breakdown). *)
-
-type category =
-  | Sim_startup
-  | Sim_simulate
-  | Utrace_extraction
-  | Test_generation
-  | Ctrace_extraction
-  | Other
-
-val all_categories : category list
-val category_name : category -> string
+(** The engine's work counts and telemetry registry.  Wall-clock
+    accounting (the paper's Table 2 breakdown) lives in the registry's
+    [engine.time.*] and [fuzzer.time.*] timers. *)
 
 type t
 
 val create : ?metrics:Amulet_obs.Obs.t -> unit -> t
 (** [metrics] (default noop) is the telemetry registry this stats instance
-    carries; the executor threads it into the simulator and the fuzzer
-    counts into it. *)
+    carries; the engine threads it into the simulator and records its
+    timers there. *)
 
 val registry : t -> Amulet_obs.Obs.t
 
-val time : t -> category -> (unit -> 'a) -> 'a
-(** Run the thunk, attributing its wall time to the category. *)
-
-val add : t -> category -> float -> unit
 val count_test_case : t -> unit
-val count_violation : t -> unit
+(** One simulated test case (batch run or validation rerun). *)
+
 val count_validation : t -> unit
+(** One validation rerun from a recorded context. *)
 
-val count_fault : t -> Fault.t -> unit
-(** Record one classified fault (discarded round, injected fault, crash). *)
-
-val fault_counters : t -> Fault.Counters.t
-val fault_counts : t -> (Fault.cls * int) list
-val total : t -> float
-val elapsed : t -> float
-val seconds : t -> category -> float
 val test_cases : t -> int
-val violations : t -> int
 val validations : t -> int
-
-val close : t -> unit
-(** Attribute unaccounted elapsed time to [Other]. *)
-
-val throughput : t -> float
-(** Test cases per second of elapsed time. *)
-
-val pp : Format.formatter -> t -> unit

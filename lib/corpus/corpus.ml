@@ -280,7 +280,14 @@ let of_string s =
                     | Some (score, age, trials) ->
                         pending_entry := None;
                         let text = unescape p in
-                        let program = Asm.parse_flat text in
+                        let program =
+                          try Asm.parse_flat text
+                          with Asm.Parse_error { line; message } ->
+                            failwith
+                              (Printf.sprintf
+                                 "Corpus.of_string: entry %d, program line %d: %s"
+                                 (List.length t.entries + 1) line message)
+                        in
                         t.entries <-
                           t.entries @ [ { program; text; score; age; trials } ]
                     | None -> failwith "Corpus.of_string: orphan program line")

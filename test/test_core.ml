@@ -204,13 +204,9 @@ let test_executor_naive_vs_opt_equivalent_results () =
 
 let test_stats_accounting () =
   let s = Stats.create () in
-  Stats.time s Stats.Sim_simulate (fun () -> ignore (Sys.opaque_identity (Array.make 1000 0)));
   Stats.count_test_case s;
   Stats.count_test_case s;
-  checki "test cases" 2 (Stats.test_cases s);
-  checkb "time recorded" true (Stats.seconds s Stats.Sim_simulate >= 0.);
-  Stats.close s;
-  checkb "total covers elapsed" true (Stats.total s > 0.)
+  checki "test cases" 2 (Stats.test_cases s)
 
 (* ------------------------------------------------------------------ *)
 (* Fuzzer round                                                        *)

@@ -203,6 +203,31 @@ let test_serialization_roundtrip () =
     | exception Failure _ -> true
     | _ -> false)
 
+(* A checkpoint whose program line does not assemble is malformed input
+   like any other: [Failure] naming the line, never [Asm.Parse_error]. *)
+let index_of hay needle =
+  let n = String.length needle in
+  let rec go i =
+    if i + n > String.length hay then None
+    else if String.sub hay i n = needle then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let test_bad_program_line () =
+  let c = C.create ~params:C.default_params ~sandbox_bytes () in
+  C.record c ~program:(Asm.parse_flat "MOV RAX, 1") ~novel:1 ~violation:false
+    ~bonus:0 ();
+  let s = C.to_string c in
+  let at = Option.get (index_of s "\nprogram ") + String.length "\nprogram " in
+  let bad = String.sub s 0 at ^ "FROB " ^ String.sub s at (String.length s - at) in
+  match C.of_string bad with
+  | exception Failure msg ->
+      checkb "message names the program line" true
+        (index_of msg "program line 1" <> None)
+  | exception e -> Alcotest.failf "raised %s, not Failure" (Printexc.to_string e)
+  | _ -> Alcotest.fail "bad program line accepted"
+
 (* ------------------------------------------------------------------ *)
 (* Guided campaigns: determinism                                       *)
 (* ------------------------------------------------------------------ *)
@@ -327,6 +352,7 @@ let () =
             test_schedule_warmup_and_finders;
           Alcotest.test_case "serialization round-trip" `Quick
             test_serialization_roundtrip;
+          Alcotest.test_case "bad program line" `Quick test_bad_program_line;
         ] );
       ( "guided",
         [

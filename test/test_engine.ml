@@ -283,12 +283,68 @@ let test_metric_names () =
     ]
     (engine_names s.Obs.Snapshot.counters);
   checkl "timers"
-    [ "engine.time.prime"; "engine.time.rebuild"; "engine.time.restore" ]
+    [
+      "engine.time.prime";
+      "engine.time.rebuild";
+      "engine.time.restore";
+      "engine.time.simulate";
+      "engine.time.utrace";
+    ]
     (engine_names s.Obs.Snapshot.timers);
   checkl "gauges" [ "engine.pool.reuse_depth" ] (engine_names s.Obs.Snapshot.gauges);
   checkl "histograms" [ "engine.batch.latency" ]
     (engine_names s.Obs.Snapshot.histograms);
   checki "both batches counted" 2 (Obs.Snapshot.counter_value s "engine.batches")
+
+(* The paper's Table 2 is read from these seven timers: each region is
+   clocked exactly once, so a region's event count equals its work
+   counter, and a noop registry holds no timer at all. *)
+let table2_timers =
+  [
+    "engine.time.rebuild";
+    "engine.time.restore";
+    "engine.time.prime";
+    "engine.time.simulate";
+    "engine.time.utrace";
+    "fuzzer.time.generate";
+    "fuzzer.time.ctrace";
+  ]
+
+let test_table2_timers () =
+  let open Amulet_obs in
+  let spec mode =
+    Run_spec.make ~defense:Defense.baseline ~mode ~seed:31 ~inputs:3 ~boosts:2
+      ~boot_insts:boot ()
+  in
+  List.iter
+    (fun mode ->
+      let metrics = Obs.create () in
+      let fz = Fuzzer.create ~metrics (spec mode) in
+      (* two rounds: the first boots the pool, the second rewinds it *)
+      ignore (Fuzzer.round fz);
+      ignore (Fuzzer.round fz);
+      let s = Obs.Snapshot.of_registry metrics in
+      let events name =
+        match List.assoc_opt name s.Obs.Snapshot.timers with
+        | Some tm -> tm.Obs.Snapshot.events
+        | None -> 0
+      in
+      let m = Executor.mode_name mode in
+      if mode = Executor.Opt then
+        List.iter
+          (fun name -> checkb (m ^ " " ^ name) true (events name >= 1))
+          table2_timers;
+      checki (m ^ " one rebuild timing per rebuild")
+        (Obs.Snapshot.counter_value s "engine.sim.rebuilds")
+        (events "engine.time.rebuild");
+      checki (m ^ " one restore timing per restore")
+        (Obs.Snapshot.counter_value s "engine.sim.restores")
+        (events "engine.time.restore"))
+    [ Executor.Opt; Executor.Naive ];
+  let fz = Fuzzer.create (spec Executor.Opt) in
+  ignore (Fuzzer.round fz);
+  checki "noop registry has no timers" 0
+    (List.length (Obs.Snapshot.of_registry Obs.noop).Obs.Snapshot.timers)
 
 (* ------------------------------------------------------------------ *)
 
@@ -313,5 +369,6 @@ let () =
           Alcotest.test_case "run variants" `Quick test_run_variants;
           Alcotest.test_case "engine stats" `Quick test_engine_stats;
           Alcotest.test_case "engine metric names" `Quick test_metric_names;
+          Alcotest.test_case "table 2 timers" `Quick test_table2_timers;
         ] );
     ]

@@ -208,6 +208,33 @@ let test_checkpoint_resume_determinism () =
   checki "same discards" full.Campaign.discarded_programs
     resumed.Campaign.discarded_programs
 
+(* A journal whose embedded corpus checkpoint has a program that does not
+   assemble resumes on a fresh corpus, exactly as if it carried none. *)
+let test_resume_bad_corpus_fresh () =
+  let mk n =
+    Run_spec.make ~defense:Defense.baseline ~rounds:n ~seed:17 ~classify:false
+      ~inputs:4 ~boosts:2 ~boot_insts:200
+      ~generation:(Run_spec.guided ()) ()
+  in
+  let path = Filename.temp_file "amulet" ".journal" in
+  ignore (Campaign.run ~journal_path:path ~checkpoint_every:1 (mk 3));
+  let j = Journal.load path in
+  Sys.remove path;
+  let corpus = Option.get j.Journal.corpus in
+  let marker = "\nprogram " in
+  let rec find i =
+    if String.sub corpus i (String.length marker) = marker then i else find (i + 1)
+  in
+  let at = find 0 + String.length marker in
+  let bad =
+    String.sub corpus 0 at ^ "FROB " ^ String.sub corpus at (String.length corpus - at)
+  in
+  let resumed = Campaign.run ~resume:{ j with Journal.corpus = Some bad } (mk 5) in
+  let fresh = Campaign.run ~resume:{ j with Journal.corpus = None } (mk 5) in
+  checki "resumed run completes" 5 resumed.Campaign.programs_run;
+  checkb "bad checkpoint resumes on a fresh corpus" true
+    (resumed.Campaign.corpus = fresh.Campaign.corpus)
+
 let () =
   Alcotest.run "robustness"
     [
@@ -231,5 +258,7 @@ let () =
             test_journal_corrupt_violation_quarantined;
           Alcotest.test_case "checkpoint/resume determinism" `Slow
             test_checkpoint_resume_determinism;
+          Alcotest.test_case "bad corpus resumes fresh" `Quick
+            test_resume_bad_corpus_fresh;
         ] );
     ]
