@@ -485,7 +485,7 @@ let table11 () =
   in
   let rows =
     [
-      "ISA + assembler + encoder", "lib/isa";
+      "ISA + assembler", "lib/isa";
       "emulator + taint (leakage substrate)", "lib/emu";
       "contracts + leakage model", "lib/contracts";
       "OoO simulator + memory system", "lib/uarch";
@@ -727,16 +727,45 @@ let throughput () =
   let _, t_naive_opt, tr_no = measure Engine.Naive Executor.Opt in
   let _, t_pooled_opt, tr_po = measure Engine.Pooled Executor.Opt in
   let identical_opt = traces_identical tr_no tr_po in
-  (* telemetry must be trace-invisible and near-free: re-run the pooled
-     configuration with a live registry, require byte-identical traces and
-     report the wall-clock overhead (the <5% budget the design document
-     commits to) *)
-  let registry = Amulet_obs.Obs.create () in
-  let _, t_pooled_tel, tr_tel = measure ~metrics:registry Engine.Pooled Executor.Naive in
-  let telemetry_invisible = traces_identical tr_pooled tr_tel in
-  let telemetry_overhead_pct =
-    if t_pooled > 0. then (t_pooled_tel -. t_pooled) /. t_pooled *. 100. else 0.
+  (* telemetry must be trace-invisible and near-free: time the pooled
+     configuration without and with a live registry in interleaved pairs
+     (alternating which goes first), require byte-identical traces on every
+     pass, and report the median per-pair wall-clock overhead and its
+     interquartile range (the <5% budget the design document commits to).
+     One ~10 ms pass is too noisy to read on its own. *)
+  let telemetry_pairs = 9 in
+  let pairs =
+    List.init telemetry_pairs (fun i ->
+        let live = Amulet_obs.Obs.create () in
+        let off () = measure Engine.Pooled Executor.Naive in
+        let on () = measure ~metrics:live Engine.Pooled Executor.Naive in
+        (* let-bound so the alternation fixes the evaluation order *)
+        let (_, t_off, tr_off), (_, t_on, tr_on) =
+          if i mod 2 = 0 then
+            let r_off = off () in
+            (r_off, on ())
+          else
+            let r_on = on () in
+            (off (), r_on)
+        in
+        ( traces_identical tr_pooled tr_off && traces_identical tr_pooled tr_on,
+          (t_on -. t_off) /. t_off *. 100.,
+          live ))
   in
+  let telemetry_invisible = List.for_all (fun (same, _, _) -> same) pairs in
+  let overheads =
+    Array.of_list (List.sort compare (List.map (fun (_, pct, _) -> pct) pairs))
+  in
+  (* the exported snapshot is one pass's counts, as with a single pass *)
+  let _, _, registry = List.nth pairs (telemetry_pairs - 1) in
+  let quantile q =
+    let pos = q *. float_of_int (telemetry_pairs - 1) in
+    let lo = int_of_float pos in
+    let hi = min (lo + 1) (telemetry_pairs - 1) in
+    overheads.(lo) +. ((pos -. float_of_int lo) *. (overheads.(hi) -. overheads.(lo)))
+  in
+  let telemetry_overhead_pct = quantile 0.5 in
+  let telemetry_overhead_iqr = quantile 0.75 -. quantile 0.25 in
   let metrics_snapshot = Amulet_obs.Obs.Snapshot.of_registry registry in
   let inputs_total = programs * n_inputs in
   let per t = (float_of_int programs /. t, float_of_int inputs_total /. t) in
@@ -874,8 +903,10 @@ let throughput () =
   if not telemetry_invisible then
     Format.printf "ERROR: telemetry changed the traces (must be trace-invisible)@."
   else
-    Format.printf "telemetry: trace-invisible, %.1f%% overhead (%d counters live)@."
-      telemetry_overhead_pct
+    Format.printf
+      "telemetry: trace-invisible, %.1f%% median overhead (IQR %.1f points \
+       over %d interleaved pairs; %d counters live)@."
+      telemetry_overhead_pct telemetry_overhead_iqr telemetry_pairs
       (List.length metrics_snapshot.Amulet_obs.Obs.Snapshot.counters);
   let engine_json t tps ips (st : Engine.stats) =
     Json.Obj
@@ -919,6 +950,8 @@ let throughput () =
                 [
                   ("trace_invisible", Json.Bool telemetry_invisible);
                   ("overhead_pct", Json.Float telemetry_overhead_pct);
+                  ("overhead_iqr_pct", Json.Float telemetry_overhead_iqr);
+                  ("pairs", Json.Int telemetry_pairs);
                 ] );
             ( "decode_amortization",
               Json.Obj

@@ -3,8 +3,6 @@
    Subcommands:
      fuzz       - run a testing campaign against a defense
      sweep      - run the sharded multi-defense matrix sweep
-     serve      - run the matrix as a crash-tolerant coordinator + workers
-     worker     - join a coordinator as a campaign worker process
      reproduce  - hunt a known vulnerability, or replay a violation/PoC file
      run        - execute an assembly file on the simulator and print traces
      explain    - one-element triage view of a saved violation (bisected,
@@ -114,7 +112,7 @@ let static_filter_t =
            cannot violate any bundled contract); $(b,score) redraws \
            transmitter-free programs a few times but never skips a round.")
 
-(* --guided and its corpus knobs, shared by fuzz/sweep/serve.  The term
+(* --guided and its corpus knobs, shared by fuzz and sweep.  The term
    evaluates to a closure over the base generator config, so each
    subcommand applies its own generator tweaks (e.g. fuzz --unaligned)
    before choosing the strategy. *)
@@ -197,7 +195,7 @@ let metrics_t =
            JSON.  Trace-invisible: enabling telemetry never changes traces \
            or findings.")
 
-(* --metrics FILE, shared by fuzz/sweep/serve: a live registry (noop
+(* --metrics FILE, shared by fuzz and sweep: a live registry (noop
    without FILE) and the writer of the run's snapshot to FILE. *)
 let metrics_sink ~json metrics_out =
   match metrics_out with
@@ -509,10 +507,9 @@ let fuzz_cmd =
 (* sweep                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The job list shared by sweep and serve: the selected presets, each
-   split into seed shards built from the same flags, so the two paths
-   fingerprint-compare.  The term yields a thunk so that an unknown preset
-   or an unreadable corpus seed fails inside [Output.guarded]. *)
+(* The sweep's job list: the selected presets, each split into seed shards
+   built from the same flags.  The term yields a thunk so that an unknown
+   preset or an unreadable corpus seed fails inside [Output.guarded]. *)
 type sweep_jobs = { presets : Defense.t list; jobs : Sweep.job list; seed : int }
 
 let sweep_jobs_t =
@@ -627,238 +624,6 @@ let sweep_cmd =
     term
 
 (* ------------------------------------------------------------------ *)
-(* serve / worker — the distributed campaign service                   *)
-(* ------------------------------------------------------------------ *)
-
-let serve_cmd =
-  let workers =
-    Arg.(
-      value & opt int 2
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Local worker processes to spawn.  $(b,0) spawns none — the \
-             coordinator then waits for external $(b,amulet worker \
-             --connect) processes.")
-  in
-  let socket =
-    Arg.(
-      value & opt (some string) None
-      & info [ "socket" ] ~docv:"PATH"
-          ~doc:
-            "Unix-domain socket to listen on (default: a per-pid path under \
-             the temp dir).")
-  in
-  let journal_dir =
-    Arg.(
-      value & opt (some string) None
-      & info [ "journal-dir" ] ~docv:"DIR"
-          ~doc:
-            "Shard checkpoint directory (default: a per-pid dir under the \
-             temp dir).  Reassigned shards resume from these journals.")
-  in
-  let heartbeat_s =
-    Arg.(
-      value & opt float 0.5
-      & info [ "heartbeat-s" ] ~docv:"S" ~doc:"Heartbeat cadence told to workers.")
-  in
-  let lease_timeout_s =
-    Arg.(
-      value & opt float 10.
-      & info [ "lease-timeout-s" ] ~docv:"S"
-          ~doc:"Expire a lease silent for this long and reassign its shard.")
-  in
-  let max_attempts =
-    Arg.(
-      value & opt int 3
-      & info [ "max-attempts" ] ~docv:"N"
-          ~doc:"Abandon a shard after N leases (poisoned-shard guard).")
-  in
-  let idle_timeout_s =
-    Arg.(
-      value & opt float 30.
-      & info [ "idle-timeout-s" ] ~docv:"S"
-          ~doc:"Fail remaining shards after this long with no connected workers.")
-  in
-  let worker_chaos =
-    Arg.(
-      value & opt (some float) None
-      & info [ "worker-chaos" ] ~docv:"P"
-          ~doc:
-            "Robustness self-test: spawned workers die (SIGKILL-style) at \
-             each round boundary with probability P; the coordinator must \
-             reassign and the fingerprint must not change.")
-  in
-  let out =
-    Arg.(
-      value & opt string "BENCH_serve.json"
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Where to write the serve report JSON.")
-  in
-  let run sweep_jobs workers socket journal_dir heartbeat_s lease_timeout_s
-      max_attempts idle_timeout_s worker_chaos out metrics_out json =
-   Output.guarded @@ fun () ->
-    let say fmt = (if json then Format.eprintf else Format.printf) fmt in
-    let { presets; jobs; seed } = sweep_jobs () in
-    let pid = Unix.getpid () in
-    let socket =
-      match socket with
-      | Some s -> s
-      | None ->
-          Filename.concat (Filename.get_temp_dir_name ())
-            (Printf.sprintf "amulet-serve-%d.sock" pid)
-    in
-    let journal_dir =
-      match journal_dir with
-      | Some d -> d
-      | None ->
-          Filename.concat (Filename.get_temp_dir_name ())
-            (Printf.sprintf "amulet-serve-%d.journals" pid)
-    in
-    if not (Sys.file_exists journal_dir) then Sys.mkdir journal_dir 0o755;
-    let metrics, write_metrics = metrics_sink ~json metrics_out in
-    (* bind before spawning so workers never see a missing socket *)
-    let coord =
-      Coordinator.create ~socket ~metrics ~journal_dir ~heartbeat_s
-        ~lease_timeout_s ~max_attempts ~idle_timeout_s ()
-    in
-    say "serving %d preset(s), %d job(s) on %s, %d local worker(s)...@."
-      (List.length presets) (List.length jobs) socket workers;
-    let spawn i =
-      let args =
-        [
-          Sys.executable_name; "worker"; "--connect"; socket;
-          "--name"; Printf.sprintf "local-%d" i;
-          "--seed"; string_of_int (seed + i);
-        ]
-        @ (match worker_chaos with
-          | Some p -> [ "--chaos-kill"; string_of_float p ]
-          | None -> [])
-      in
-      (* workers inherit stderr for both streams: stdout stays clean for
-         the coordinator's --json document *)
-      Unix.create_process Sys.executable_name (Array.of_list args)
-        Unix.stdin Unix.stderr Unix.stderr
-    in
-    let pids = List.init workers spawn in
-    let report = Coordinator.serve coord jobs in
-    List.iter
-      (fun p -> try ignore (Unix.waitpid [] p) with Unix.Unix_error _ -> ())
-      pids;
-    let doc = Coordinator.to_json report in
-    Output.write_file out doc;
-    say "report written to %s (fingerprint %s)@." out
-      report.Coordinator.fingerprint;
-    write_metrics report.Coordinator.metrics;
-    if json then print_endline doc
-    else Format.printf "%a" Coordinator.pp report;
-    if report.Coordinator.crashed > 0 then Output.exit_fault
-    else if report.Coordinator.violations > 0 then Output.exit_violation
-    else Output.exit_clean
-  in
-  let term =
-    Term.(
-      const run $ sweep_jobs_t $ workers $ socket $ journal_dir $ heartbeat_s
-      $ lease_timeout_s $ max_attempts $ idle_timeout_s $ worker_chaos $ out
-      $ metrics_t $ json_t)
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the defense matrix as a crash-tolerant distributed service: a \
-          coordinator leases shards to worker processes over a Unix-domain \
-          socket, reassigns the shards of dead or silent workers (resuming \
-          from their journals), and merges results into the same \
-          deterministic fingerprint as $(b,amulet sweep).")
-    term
-
-let worker_cmd =
-  let connect =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "connect" ] ~docv:"SOCK"
-          ~doc:"Coordinator socket to connect to (required).")
-  in
-  let name_t =
-    Arg.(
-      value & opt (some string) None
-      & info [ "name" ] ~docv:"NAME" ~doc:"Worker name (default: worker-<pid>).")
-  in
-  let chaos_kill =
-    Arg.(
-      value & opt float 0.
-      & info [ "chaos-kill" ] ~docv:"P"
-          ~doc:"Chaos: die abruptly at a round boundary with probability P.")
-  in
-  let chaos_drop =
-    Arg.(
-      value & opt float 0.
-      & info [ "chaos-drop" ] ~docv:"P"
-          ~doc:"Chaos: swallow a heartbeat with probability P.")
-  in
-  let chaos_delay =
-    Arg.(
-      value & opt float 0.
-      & info [ "chaos-delay" ] ~docv:"P"
-          ~doc:"Chaos: stall before a heartbeat with probability P.")
-  in
-  let retries =
-    Arg.(
-      value & opt int 6
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Transient connect failures to retry before giving up.")
-  in
-  let backoff_ms =
-    Arg.(
-      value & opt float 50.
-      & info [ "backoff-ms" ] ~docv:"MS"
-          ~doc:"Base reconnect backoff (doubled per attempt, jittered).")
-  in
-  let run connect name chaos_kill chaos_drop chaos_delay retries backoff_ms seed
-      =
-   Output.guarded @@ fun () ->
-    let name =
-      match name with
-      | Some n -> n
-      | None -> Printf.sprintf "worker-%d" (Unix.getpid ())
-    in
-    let chaos =
-      if chaos_kill = 0. && chaos_drop = 0. && chaos_delay = 0. then None
-      else
-        Some
-          (Fault.injector ~p_kill_worker:chaos_kill ~p_drop_message:chaos_drop
-             ~p_delay_heartbeat:chaos_delay ~seed ())
-    in
-    match
-      Worker.run ~connect ~name ?chaos ~retries ~backoff_s:(backoff_ms /. 1000.)
-        ~seed ()
-    with
-    | Worker.Finished ->
-        Format.eprintf "%s: done@." name;
-        Output.exit_clean
-    | Worker.Coordinator_lost why ->
-        Format.eprintf "%s: coordinator lost (%s); journals are checkpointed@."
-          name why;
-        Output.exit_fault
-    | Worker.Gave_up { attempts } ->
-        Format.eprintf "%s: could not connect to %s after %d attempt(s)@." name
-          connect attempts;
-        Output.exit_fault
-  in
-  let term =
-    Term.(
-      const run $ connect $ name_t $ chaos_kill $ chaos_drop $ chaos_delay
-      $ retries $ backoff_ms $ seed_t)
-  in
-  Cmd.v
-    (Cmd.info "worker"
-       ~doc:
-         "Join a coordinator as a campaign worker: run leased shards on a \
-          warmed pooled engine, heartbeat at round boundaries, checkpoint \
-          into the coordinator's journal dir.  Exits 2 when the coordinator \
-          is unreachable or vanishes (work is resumable from journals).")
-    term
-
-(* ------------------------------------------------------------------ *)
 (* reproduce                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -913,8 +678,7 @@ let reproduce_cmd =
     end;
     match verdict with
     | `Match -> Output.exit_violation
-    | `Not_reproduced -> Output.exit_clean
-    | `Diff_mismatch _ -> Output.exit_fault
+    | `Not_reproduced | `Diff_mismatch _ -> Output.exit_fault
   in
   let replay_violation path json =
     let f = Triage.explain (Violation_io.load path) in
@@ -923,7 +687,7 @@ let reproduce_cmd =
     else Format.printf "%a" Triage.pp_finding f;
     match f.Triage.status with
     | Triage.Reproduced -> Output.exit_violation
-    | Triage.Not_reproduced -> Output.exit_clean
+    | Triage.Not_reproduced -> Output.exit_fault
   in
   let run name seed json =
    Output.guarded @@ fun () ->
@@ -974,8 +738,9 @@ let reproduce_cmd =
          "Hunt one of the paper's known vulnerabilities with its crafted \
           test, or replay a saved violation / triage PoC file.  Exits 1 \
           when the planted or recorded violation is found (the expected \
-          outcome), 0 when it is not, 2 when a PoC reproduces with a \
-          different divergence than recorded.")
+          outcome).  A hunt that finds nothing exits 0; a replayed file \
+          that does not reproduce, or a PoC that reproduces with a \
+          different divergence than recorded, exits 2.")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -1082,7 +847,7 @@ let triage_cmd =
       & info [] ~docv:"SOURCE"
           ~doc:
             "Violation sources: saved violation/PoC files, campaign \
-             journals, or directories of either (e.g. a sweep/serve \
+             journals, or directories of either (e.g. a sweep \
              --journal-dir).")
   in
   let ways =
@@ -1509,8 +1274,8 @@ let main =
   let doc = "AMuLeT: automated design-time testing of secure speculation countermeasures" in
   Cmd.group (Cmd.info "amulet" ~version:"1.0.0" ~doc)
     [
-      fuzz_cmd; sweep_cmd; serve_cmd; worker_cmd; reproduce_cmd; run_cmd;
-      explain_cmd; triage_cmd; lint_cmd; corpus_cmd; list_cmd;
+      fuzz_cmd; sweep_cmd; reproduce_cmd; run_cmd; explain_cmd; triage_cmd;
+      lint_cmd; corpus_cmd; list_cmd;
     ]
 
 let () = exit (Cmd.eval' main)

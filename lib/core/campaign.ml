@@ -58,9 +58,9 @@ let classify_one (spec : Run_spec.t) v =
     [journal_path] checkpoints progress atomically every [checkpoint_every]
     rounds; [resume] continues from a loaded checkpoint instead of round 0.
     [engine] injects a warmed engine + stats sink (sweep cache). *)
-let run ?(on_violation = fun (_ : Violation.t) -> ())
-    ?(on_round = fun (_ : int) -> ()) ?journal_path ?(checkpoint_every = 10)
-    ?resume ?(metrics = Obs.noop) ?engine (spec : Run_spec.t) : result =
+let run ?(on_violation = fun (_ : Violation.t) -> ()) ?journal_path
+    ?(checkpoint_every = 10) ?resume ?(metrics = Obs.noop) ?engine
+    (spec : Run_spec.t) : result =
   let defense = spec.Run_spec.defense in
   let fuzzer = Fuzzer.create ~metrics ?engine spec in
   (* campaign-local telemetry delta, even on a registry shared across runs *)
@@ -179,10 +179,7 @@ let run ?(on_violation = fun (_ : Violation.t) -> ())
              only advanced on completed rounds so a budget-abandoned partial
              round never leaks into the checkpoint *)
           test_cases := base_tc + (Stats.test_cases (Fuzzer.stats fuzzer) - tc0);
-          if (!programs - base_programs) mod checkpoint_every = 0 then checkpoint ();
-          (* after the checkpoint: a worker killed inside on_round (chaos)
-             leaves a journal another worker can adopt at this boundary *)
-          on_round !programs
+          if (!programs - base_programs) mod checkpoint_every = 0 then checkpoint ()
     end
   done;
   checkpoint ();

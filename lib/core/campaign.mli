@@ -37,7 +37,6 @@ val round_seed : int -> int -> int
 
 val run :
   ?on_violation:(Violation.t -> unit) ->
-  ?on_round:(int -> unit) ->
   ?journal_path:string ->
   ?checkpoint_every:int ->
   ?resume:Journal.t ->
@@ -46,9 +45,6 @@ val run :
   Run_spec.t ->
   result
 (** Run [spec.rounds] fuzzing rounds against [spec.defense].
-    [on_round] fires after every {e completed} round (and after any
-    checkpoint that round triggered) with the rounds-completed count —
-    distributed workers hang heartbeats and chaos kills off it.
     [journal_path] checkpoints progress atomically every [checkpoint_every]
     (default 10) rounds and at campaign end; [resume] continues from a
     loaded checkpoint instead of round 0 and, with the same spec, ends with

@@ -16,8 +16,6 @@ type t =
   | Empty_population
   | Injected of string
   | Instance_crash of exn_info
-  | Worker_lost of string
-  | Protocol of string
 
 let to_string = function
   | Sim_divergence s -> "simulator divergence: " ^ s
@@ -30,8 +28,6 @@ let to_string = function
   | Empty_population -> "no test cases"
   | Injected s -> "injected fault: " ^ s
   | Instance_crash { exn_name; _ } -> "instance crash: " ^ exn_name
-  | Worker_lost s -> "worker lost: " ^ s
-  | Protocol s -> "protocol error: " ^ s
 
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
@@ -68,8 +64,6 @@ type cls =
   | C_empty_population
   | C_injected
   | C_instance_crash
-  | C_worker_lost
-  | C_protocol
 
 let class_of = function
   | Sim_divergence _ -> C_sim_divergence
@@ -80,8 +74,6 @@ let class_of = function
   | Empty_population -> C_empty_population
   | Injected _ -> C_injected
   | Instance_crash _ -> C_instance_crash
-  | Worker_lost _ -> C_worker_lost
-  | Protocol _ -> C_protocol
 
 let all_classes =
   [
@@ -93,8 +85,6 @@ let all_classes =
     C_empty_population;
     C_injected;
     C_instance_crash;
-    C_worker_lost;
-    C_protocol;
   ]
 
 let class_name = function
@@ -106,8 +96,6 @@ let class_name = function
   | C_empty_population -> "empty-population"
   | C_injected -> "injected"
   | C_instance_crash -> "instance-crash"
-  | C_worker_lost -> "worker-lost"
-  | C_protocol -> "protocol"
 
 let class_of_name s = List.find_opt (fun c -> class_name c = s) all_classes
 
@@ -156,38 +144,17 @@ type injector = {
   p_crash : float;
   p_timeout : float;
   p_sim_fault : float;
-  p_kill_worker : float;
-  p_drop_message : float;
-  p_delay_heartbeat : float;
   chaos_seed : int;
 }
 
-let injector ?(p_crash = 0.) ?(p_timeout = 0.) ?(p_sim_fault = 0.)
-    ?(p_kill_worker = 0.) ?(p_drop_message = 0.) ?(p_delay_heartbeat = 0.)
-    ~seed () =
-  {
-    p_crash;
-    p_timeout;
-    p_sim_fault;
-    p_kill_worker;
-    p_drop_message;
-    p_delay_heartbeat;
-    chaos_seed = seed;
-  }
+let injector ?(p_crash = 0.) ?(p_timeout = 0.) ?(p_sim_fault = 0.) ~seed () =
+  { p_crash; p_timeout; p_sim_fault; chaos_seed = seed }
 
 module Rng = Amulet_corpus.Rng
 
-type chaos = { inj : injector; rng : Rng.t; service_rng : Rng.t }
+type chaos = { inj : injector; rng : Rng.t }
 
-let arm inj =
-  (* the service modes draw from a separately-seeded stream so arming
-     worker-level chaos never perturbs the in-process draw sequence *)
-  {
-    inj;
-    rng = Rng.create ~seed:inj.chaos_seed;
-    service_rng = Rng.create ~seed:(inj.chaos_seed lxor 0x5eed1ce);
-  }
-
+let arm inj = { inj; rng = Rng.create ~seed:inj.chaos_seed }
 let draw rng = float_of_int (Rng.int rng 1_000_000) /. 1_000_000.
 
 (* One uniform draw decides: the probabilities partition [0, 1). *)
@@ -196,13 +163,4 @@ let sample t =
   if u < t.inj.p_crash then `Crash
   else if u < t.inj.p_crash +. t.inj.p_timeout then `Timeout
   else if u < t.inj.p_crash +. t.inj.p_timeout +. t.inj.p_sim_fault then `Sim_fault
-  else `None
-
-let sample_worker t =
-  let u = draw t.service_rng in
-  if u < t.inj.p_kill_worker then `Kill_worker
-  else if u < t.inj.p_kill_worker +. t.inj.p_drop_message then `Drop_message
-  else if
-    u < t.inj.p_kill_worker +. t.inj.p_drop_message +. t.inj.p_delay_heartbeat
-  then `Delay_heartbeat
   else `None

@@ -36,12 +36,6 @@ type t =
   | Injected of string  (** fault planted by the chaos injector *)
   | Instance_crash of exn_info
       (** an exception escaped a round or a whole campaign instance *)
-  | Worker_lost of string
-      (** a distributed worker's socket died or its heartbeats stopped;
-          its lease was (or will be) reassigned *)
-  | Protocol of string
-      (** a malformed, corrupt or version-mismatched frame on the
-          coordinator/worker wire *)
 
 val to_string : t -> string
 
@@ -65,8 +59,6 @@ type cls =
   | C_empty_population
   | C_injected
   | C_instance_crash
-  | C_worker_lost
-  | C_protocol
 
 val class_of : t -> cls
 val all_classes : cls list
@@ -106,36 +98,14 @@ type injector = {
   p_crash : float;  (** probability of raising {!Injected_crash} *)
   p_timeout : float;  (** probability of a fake {!Deadline_exceeded} *)
   p_sim_fault : float;  (** probability of a fake simulator fault *)
-  p_kill_worker : float;
-      (** worker level: probability of the worker process dying abruptly at
-          a round boundary (SIGKILL-equivalent; no result, no goodbye) *)
-  p_drop_message : float;
-      (** worker level: probability of swallowing an outbound heartbeat *)
-  p_delay_heartbeat : float;
-      (** worker level: probability of stalling before a heartbeat *)
   chaos_seed : int;
 }
 
 val injector :
-  ?p_crash:float ->
-  ?p_timeout:float ->
-  ?p_sim_fault:float ->
-  ?p_kill_worker:float ->
-  ?p_drop_message:float ->
-  ?p_delay_heartbeat:float ->
-  seed:int ->
-  unit ->
-  injector
+  ?p_crash:float -> ?p_timeout:float -> ?p_sim_fault:float -> seed:int -> unit -> injector
 
 type chaos
-(** An armed injector (injector + private RNG streams; the worker-level
-    modes draw from their own stream so arming them never perturbs the
-    in-process fault sequence). *)
+(** An armed injector: the injector plus its private RNG stream. *)
 
 val arm : injector -> chaos
 val sample : chaos -> [ `None | `Crash | `Timeout | `Sim_fault ]
-
-val sample_worker :
-  chaos -> [ `None | `Kill_worker | `Drop_message | `Delay_heartbeat ]
-(** Drawn once per completed round by a distributed worker (see {!Worker});
-    the probabilities partition [0, 1) like {!sample}'s. *)

@@ -340,8 +340,8 @@ let classes_of cases =
 (* Aggregate one round's deterministic coverage feedback: contract-trace
    shape/class structure from the model, per-run pipeline totals from the
    engine outcomes.  Case order is fixed (base inputs then their
-   mutants), so the fold is reproducible across engines and worker
-   fleets. *)
+   mutants), so the fold is reproducible across engines and domain
+   counts. *)
 let feedback_of (arr : test_case array) : Amulet_corpus.Coverage.feedback =
   let fnv_prime = 0x100000001b3L in
   let shape_hash =

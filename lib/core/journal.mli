@@ -50,7 +50,6 @@ type recovery =
   | Fresh  (** no checkpoint exists at that path *)
 
 val recover : string -> recovery
-(** Defensive load for resume paths ([fuzz --resume], shard re-adoption by
-    a distributed worker): never raises on a damaged checkpoint — it
+(** Defensive load for resume paths ([fuzz --resume]): never raises on a damaged checkpoint — it
     quarantines the file aside ([path].corrupt) instead, so a crash that
     tore a journal costs at most that shard's progress, not the campaign. *)

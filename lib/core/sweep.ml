@@ -114,9 +114,7 @@ type report = {
   metrics : Obs.Snapshot.t;
 }
 
-(* One warmed engine per distinct defense config, private to one domain or
-   one worker process.  Shared by the in-process scheduler below and by the
-   distributed {!Worker}, so both paths pay simulator boots identically. *)
+(* One warmed engine per distinct defense config, private to one domain. *)
 module Engine_cache = struct
   (* The key is pure data (Config.t is ints/bools/variants), so structural
      hashing is sound. *)
@@ -346,12 +344,8 @@ let run ?(domains = 1) ?(metrics = Obs.noop) ?journal_dir
 (* ------------------------------------------------------------------ *)
 
 (* Only scheduling-independent content: seeds fix the violations, so two
-   runs of the same jobs must digest identically whatever the domain count,
-   steal order, worker count or crash/reassignment history.  Wall-clock
-   fields are deliberately absent.  The digest bytes live here, in one
-   place, so the in-process scheduler and the distributed coordinator can
-   never drift apart: both reduce their results to [Ident.row]s and call
-   {!Ident.fingerprint}. *)
+   runs of the same jobs must digest identically whatever the domain count
+   or steal order.  Wall-clock fields are deliberately absent. *)
 module Ident = struct
   type v = {
     ctrace_hash : int64;

@@ -76,22 +76,17 @@ type report = {
       (** merged per-domain registries (empty unless [metrics] was live) *)
 }
 
-(** One warmed engine per distinct defense config, private to one domain or
-    one worker process.  Used by {!run}'s domains and by the distributed
-    {!Worker}, so both paths amortize simulator boots identically.
-    Chaos-armed specs never share a cached engine (chaos arms at executor
-    creation) — {!Engine_cache.get} returns [None] for them. *)
+(** One warmed engine per distinct defense config, private to one domain.
+    {!run}'s domains each keep one, so a domain pays one simulator boot per
+    configuration, not one per job.  Chaos-armed specs never share a cached
+    engine (chaos arms at executor creation) — {!Engine_cache.get} returns
+    [None] for them. *)
 module Engine_cache : sig
   type t
 
   val create : unit -> t
   val get : t -> metrics:Obs.t -> Run_spec.t -> (Engine.t * Stats.t) option
 end
-
-val by_preset : ('a -> job) -> 'a list -> 'a list list
-(** Group items by their job's preset: non-empty groups, presets in
-    first-appearance order, items in list order within a group — the merge
-    order of {!run}'s rows and of the distributed {!Coordinator}'s. *)
 
 val run :
   ?domains:int ->
@@ -107,11 +102,9 @@ val run :
     crashing shard or domain is recorded as {!Crashed} and the sweep
     completes. *)
 
-(** The scheduling-independent identity of a sweep's findings, and the one
-    digest implementation both execution paths share: the in-process
-    scheduler ({!fingerprint}) and the distributed {!Coordinator} each
-    reduce their merged results to [Ident.row]s and digest those bytes, so
-    the fleet can never drift from the single-process reference. *)
+(** The scheduling-independent identity of a sweep's findings: {!fingerprint}
+    reduces a report's merged results to [Ident.row]s and digests those
+    bytes. *)
 module Ident : sig
   type v = {
     ctrace_hash : int64;
@@ -120,8 +113,8 @@ module Ident : sig
     program_text : string;
     signature : string;
         (** detection-time root-cause signature ([""] when unclassified);
-            carried for cross-worker dedup, {e not} part of the
-            fingerprint bytes *)
+            counted by the report's per-row [distinct_signatures], {e not}
+            part of the fingerprint bytes *)
   }
 
   type row = {
@@ -139,17 +132,7 @@ module Ident : sig
   (** Hex digest over the rows' bytes; wall-clock-free by construction.
       The [signature] field is excluded: classification must not perturb
       the determinism gate. *)
-
-  val dedup_key : v -> string
-  (** The cross-worker cluster key: the signature when present, else the
-      identity hashes.  Scoped per defense by callers. *)
-
-  val distinct : v list -> int
-  (** Number of distinct {!dedup_key}s in the list. *)
 end
-
-val ident_rows : report -> Ident.row list
-(** The report's rows reduced to their deterministic identity. *)
 
 val fingerprint : report -> string
 (** Hex digest over the deterministic content of the report — per-preset
@@ -157,9 +140,8 @@ val fingerprint : report -> string
     (contract-trace hash, both microarchitectural trace hashes, program
     text) — excluding all wall-clock-dependent fields.  Equal fingerprints
     across [~domains:1] and [~domains:n] runs of the same jobs are the
-    determinism guarantee CI enforces; equality with the {!Coordinator}'s
-    fingerprint for the same jobs is the distributed-service gate.
-    Equals [Ident.fingerprint (ident_rows report)]. *)
+    determinism guarantee CI enforces.  Equals {!Ident.fingerprint} over
+    the report's rows. *)
 
 val to_json : report -> string
 (** The BENCH_sweep.json document (schema [amulet.sweep/1]). *)

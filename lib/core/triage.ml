@@ -3,7 +3,7 @@
 
     The stream side consumes whatever a campaign leaves behind — saved
     [.amulet] violation files, PoC files, crash-safe journals, or whole
-    journal directories from [sweep --journal-dir] / [serve] — and reduces
+    journal directories from [sweep --journal-dir] — and reduces
     it to distinct root causes.  The analysis side is the one shared
     implementation behind [amulet explain], [amulet triage] and PoC
     replay: re-execute the pair from one shared context with logging and

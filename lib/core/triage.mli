@@ -1,6 +1,6 @@
 (** Violation triage: the staged pipeline [load → cluster → bisect →
     shrink → report] that turns a raw violation stream (saved [.amulet]
-    files, campaign journal directories, sweep/serve journal shards) into
+    files, campaign journal directories, sweep journal shards) into
     a ranked report of distinct root causes, one reproducer each.
 
     This is the one entry point for everything downstream of detection:
@@ -77,7 +77,7 @@ val load : string list -> (string * Violation_io.stored) list
 (** Gather the violation stream from a list of sources.  Each source may
     be a saved violation or PoC file, a campaign/shard journal, or a
     directory containing any mix of those ([.amulet] / [.json] entries —
-    the layout [sweep --journal-dir] and [serve] leave behind).  Returns
+    the layout [sweep --journal-dir] leaves behind).  Returns
     [(origin, stored)] pairs in deterministic (path-sorted, journal-order)
     order; quarantine files and unreadable entries are skipped.  Raises
     [Failure] if a named source does not exist. *)
@@ -146,8 +146,7 @@ val singleton_report : origin:string -> finding -> report
 
 val cluster : (string * finding) list -> cluster list
 (** Group reproduced findings by divergence signature and rank.  Stable
-    under any permutation of the input list (shard order, worker arrival
-    order): ranking and representative choice depend only on content. *)
+    under any permutation of the input list (shard order): ranking and representative choice depend only on content. *)
 
 val run :
   ?l1d_ways:int ->

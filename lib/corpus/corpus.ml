@@ -10,8 +10,7 @@
     Determinism: entries live in insertion order, every random decision
     draws from the campaign {!Rng}, and nothing reads the clock or iterates
     a hashtable, so identical seeds produce identical corpora (and thus
-    identical violation fingerprints) across engines, domain counts and
-    worker fleets. *)
+    identical violation fingerprints) across engines and domain counts. *)
 
 open Amulet_isa
 

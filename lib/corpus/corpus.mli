@@ -5,7 +5,7 @@
     high-score young seeds and retires stale ones.  Fully deterministic:
     insertion-ordered, Rng-driven, no clocks, no hashtable iteration in
     decisions — same seed, same corpus, same fingerprint, regardless of
-    engine/domain/worker count. *)
+    engine or domain count. *)
 
 open Amulet_isa
 

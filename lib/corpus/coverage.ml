@@ -10,7 +10,7 @@
     Everything here is deterministic: features are FNV mixes of
     deterministic per-run data, and serialization sorts by feature, so two
     campaigns with the same seed build byte-identical maps regardless of
-    domain/worker count. *)
+    domain count. *)
 
 (** The per-run signal a coverage observation is derived from.  The counter
     fields come from {!Amulet_uarch.Simulator.run_stats} (the pipeline's own

@@ -1,7 +1,7 @@
 (** The one JSON writer of the stack (no external dependency).
 
     Every machine-readable document — CLI [--json] output, Obs snapshots,
-    the sweep, serve and triage reports and the bench files — is built as
+    the sweep and triage reports and the bench files — is built as
     a {!t} tree and rendered by {!to_string}: compact (no whitespace),
     object keys in the order given. *)
 

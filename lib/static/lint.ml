@@ -5,8 +5,9 @@
 
     - {e errors} are structural defects no pipeline stage should ever see —
       unresolved or out-of-range branch targets, cyclic control flow,
-      invalid address scales, writes to the sandbox base register, operand
-      shapes the {!Amulet_isa.Encoder} cannot represent.  The generator's
+      invalid address scales, writes to the sandbox base register, operands
+      outside their x86-64 encoding fields (a displacement beyond 32 bits, a
+      shift count beyond a byte).  The generator's
       reject-and-regenerate hook and the property tests gate on these.
     - {e warnings} flag suspicious-but-executable code — accesses that may
       wrap past the sandbox (the emulator masks them), unmasked

@@ -1,8 +1,8 @@
 (** Well-formedness lint for flattened programs.
 
     Errors are structural defects (unresolved/backward branches, invalid
-    scales, sandbox-base writes, encoder-unrepresentable operand shapes);
-    warnings flag suspicious-but-executable code (possible sandbox
+    scales, sandbox-base writes, displacements or shift counts outside
+    their x86-64 encoding fields); warnings flag suspicious-but-executable code (possible sandbox
     overflow, unmasked indices, scratch-register or never-written-flags
     reads, dead code) and never gate. *)
 

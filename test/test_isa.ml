@@ -1,104 +1,11 @@
 (* Tests for the ISA library: registers, widths, flags, conditions,
-   instructions, programs, the assembler and the binary encoder. *)
+   instructions, programs and the assembler. *)
 
 open Amulet_isa
 
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
-
-(* ------------------------------------------------------------------ *)
-(* QCheck generators for ISA values                                     *)
-(* ------------------------------------------------------------------ *)
-
-let gen_reg = QCheck2.Gen.map Reg.of_index (QCheck2.Gen.int_bound (Reg.count - 1))
-let gen_width = QCheck2.Gen.oneofl Width.all
-let gen_cond = QCheck2.Gen.oneofl Cond.all
-
-let gen_mem =
-  let open QCheck2.Gen in
-  let* base = gen_reg in
-  let* index = opt gen_reg in
-  let* scale = oneofl [ 1; 2; 4; 8 ] in
-  let* disp = int_range (-2048) 2048 in
-  return { Operand.base; index; scale; disp }
-
-let gen_operand =
-  let open QCheck2.Gen in
-  oneof
-    [
-      map (fun r -> Operand.Reg r) gen_reg;
-      map (fun i -> Operand.Imm i) (map Int64.of_int int);
-      map (fun m -> Operand.Mem m) gen_mem;
-    ]
-
-let gen_reg_or_imm =
-  let open QCheck2.Gen in
-  oneof
-    [
-      map (fun r -> Operand.Reg r) gen_reg;
-      map (fun i -> Operand.Imm i) (map Int64.of_int int);
-    ]
-
-(* an instruction generator producing only well-formed instructions (at most
-   one memory operand, register destinations where required) *)
-let gen_inst =
-  let open QCheck2.Gen in
-  let binop = oneofl [ Inst.Add; Inst.Sub; Inst.And; Inst.Or; Inst.Xor ] in
-  let unop = oneofl [ Inst.Not; Inst.Neg; Inst.Inc; Inst.Dec ] in
-  let shift = oneofl [ Inst.Shl; Inst.Shr; Inst.Sar ] in
-  oneof
-    [
-      return Inst.Nop;
-      return Inst.Fence;
-      return Inst.Exit;
-      (let* op = binop in
-       let* w = gen_width in
-       let* dst = oneof [ map (fun r -> Operand.Reg r) gen_reg; map (fun m -> Operand.Mem m) gen_mem ] in
-       let* src = match dst with Operand.Mem _ -> gen_reg_or_imm | _ -> gen_operand in
-       return (Inst.Binop (op, w, dst, src)));
-      (let* w = gen_width in
-       let* dst = oneof [ map (fun r -> Operand.Reg r) gen_reg; map (fun m -> Operand.Mem m) gen_mem ] in
-       let* src = match dst with Operand.Mem _ -> gen_reg_or_imm | _ -> gen_operand in
-       return (Inst.Mov (w, dst, src)));
-      (let* w = gen_width in
-       let* a = map (fun r -> Operand.Reg r) gen_reg in
-       let* b = gen_operand in
-       return (Inst.Cmp (w, a, b)));
-      (let* w = gen_width in
-       let* a = map (fun r -> Operand.Reg r) gen_reg in
-       let* b = gen_reg_or_imm in
-       return (Inst.Test (w, a, b)));
-      (let* u = unop in
-       let* w = gen_width in
-       let* dst = oneof [ map (fun r -> Operand.Reg r) gen_reg; map (fun m -> Operand.Mem m) gen_mem ] in
-       return (Inst.Unop (u, w, dst)));
-      (let* k = shift in
-       let* w = gen_width in
-       let* dst = map (fun r -> Operand.Reg r) gen_reg in
-       let* n = int_range 0 63 in
-       return (Inst.Shift (k, w, dst, n)));
-      (let* w = gen_width in
-       let* r = gen_reg in
-       let* src = gen_operand in
-       return (Inst.Imul (w, r, src)));
-      (let* r = gen_reg in
-       let* m = gen_mem in
-       return (Inst.Lea (r, m)));
-      (let* c = gen_cond in
-       let* dst = oneof [ map (fun r -> Operand.Reg r) gen_reg; map (fun m -> Operand.Mem m) gen_mem ] in
-       return (Inst.Setcc (c, dst)));
-      (let* c = gen_cond in
-       let* w = gen_width in
-       let* r = gen_reg in
-       let* src = gen_operand in
-       return (Inst.Cmovcc (c, w, r, src)));
-      (let* t = int_bound 100 in
-       return (Inst.Jmp (Inst.Abs t)));
-      (let* c = gen_cond in
-       let* t = int_bound 100 in
-       return (Inst.Jcc (c, Inst.Abs t)));
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Unit tests                                                          *)
@@ -346,40 +253,6 @@ let test_asm_extreme_imm () =
       | i -> Alcotest.failf "bad parse: %s" (Inst.to_string i))
     [ Int64.min_int; Int64.max_int; -1L; 0L; 0x7FFFFFFF_FFFFFFFEL ]
 
-(* ------------------------------------------------------------------ *)
-(* Encoder tests                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let encode_roundtrip_prop =
-  QCheck2.Test.make ~name:"encode/decode instruction roundtrip" ~count:500
-    (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 30) gen_inst)
-    (fun insts ->
-      let flat = { Program.code = Array.of_list insts; code_base = 0x400000; inst_size = 4 } in
-      let decoded = Encoder.decode (Encoder.encode flat) in
-      decoded.Program.code = flat.Program.code
-      && decoded.Program.code_base = flat.Program.code_base)
-
-let test_encoder_rejects_labels () =
-  let flat =
-    { Program.code = [| Inst.Jmp (Inst.Label "x") |]; code_base = 0; inst_size = 4 }
-  in
-  match Encoder.encode flat with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument"
-
-let test_decoder_rejects_garbage () =
-  let bad s =
-    match Encoder.decode s with
-    | exception Encoder.Decode_error _ -> ()
-    | _ -> Alcotest.failf "expected decode error"
-  in
-  bad "";
-  bad "NOPE";
-  bad "AMLT\x01\x00\x00\x00";
-  (* truncated *)
-  let good = Encoder.encode { Program.code = [| Inst.Nop; Inst.Exit |]; code_base = 0; inst_size = 4 } in
-  bad (String.sub good 0 (String.length good - 1) ^ "\xFF")
-
 let () =
   Alcotest.run "isa"
     [
@@ -414,11 +287,5 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_asm_errors;
           Alcotest.test_case "extreme immediates" `Quick test_asm_extreme_imm;
           QCheck_alcotest.to_alcotest asm_roundtrip_prop;
-        ] );
-      ( "encoder",
-        [
-          QCheck_alcotest.to_alcotest encode_roundtrip_prop;
-          Alcotest.test_case "rejects labels" `Quick test_encoder_rejects_labels;
-          Alcotest.test_case "rejects garbage" `Quick test_decoder_rejects_garbage;
         ] );
     ]

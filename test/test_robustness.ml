@@ -235,6 +235,85 @@ let test_resume_bad_corpus_fresh () =
   checkb "bad checkpoint resumes on a fresh corpus" true
     (resumed.Campaign.corpus = fresh.Campaign.corpus)
 
+(* Torn checkpoints quarantine, never crash. *)
+let test_torn_journal_recovery () =
+  let dir = temp_dir "amulet-torn" in
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "shard.json" in
+  let spec =
+    Run_spec.make ~defense:Defense.baseline ~rounds:2 ~seed:5 ~classify:false
+      ~inputs:3 ~boosts:2 ~boot_insts:200 ()
+  in
+  ignore (Campaign.run ~journal_path:path ~checkpoint_every:1 spec);
+  (* intact journal resumes *)
+  (match Journal.recover path with
+  | Journal.Resumed j -> checki "rounds journaled" 2 j.Journal.programs_run
+  | _ -> Alcotest.fail "intact journal did not resume");
+  (* tear it: keep only the first half of the bytes (a crash mid-write on a
+     filesystem that reorders data and rename) *)
+  let full = In_channel.with_open_bin path In_channel.input_all in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc
+        (String.sub full 0 (String.length full / 2)));
+  (match Journal.recover path with
+  | Journal.Quarantined { corrupt_path; error } ->
+      checkb "torn journal moved aside" true (Sys.file_exists corrupt_path);
+      checkb "original path freed" false (Sys.file_exists path);
+      checkb "error captured" true (error <> "")
+  | Journal.Resumed _ -> Alcotest.fail "torn journal resumed"
+  | Journal.Fresh -> Alcotest.fail "torn journal reported missing");
+  (* a second recovery starts fresh *)
+  (match Journal.recover path with
+  | Journal.Fresh -> ()
+  | _ -> Alcotest.fail "quarantined path should now be fresh");
+  rm_rf dir
+
+(* The fingerprint-critical resume property: a campaign interrupted after a
+   checkpoint that already holds violations, then resumed by another
+   process, must fingerprint byte-identically to the uninterrupted run.
+   The validating context is not journaled, so this only holds if the
+   detection-time identity hashes survive the round-trip (a raw SIGKILL can
+   land mid-round, after violations were checkpointed — [fuzz --resume]
+   then adopts exactly such a journal). *)
+let test_resume_preserves_identity () =
+  let dir = temp_dir "amulet-resume-id" in
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "shard.json" in
+  let spec rounds =
+    Run_spec.make ~defense:Defense.baseline ~rounds ~seed:9 ~classify:false
+      ~inputs:4 ~boosts:2 ~boot_insts:200 ()
+  in
+  let row (r : Campaign.result) =
+    {
+      Sweep.Ident.defense = r.Campaign.defense.Defense.name;
+      contract = r.Campaign.contract_name;
+      rounds = r.Campaign.programs_run;
+      discarded = r.Campaign.discarded_programs;
+      test_cases = r.Campaign.test_cases;
+      violations = List.map Sweep.Ident.of_violation r.Campaign.violations;
+    }
+  in
+  let full = Campaign.run (spec 3) in
+  checkb "uninterrupted run finds violations" true
+    (full.Campaign.violations <> []);
+  (* run the first 2 rounds only — its final checkpoint is the journal a
+     successor would adopt after a kill during round 3 *)
+  ignore (Campaign.run ~journal_path:path ~checkpoint_every:1 (spec 2));
+  let j =
+    match Journal.recover path with
+    | Journal.Resumed j -> j
+    | _ -> Alcotest.fail "interrupted journal did not resume"
+  in
+  checkb "checkpoint being adopted already holds a violation" true
+    (j.Journal.violations <> []);
+  let resumed = Campaign.run ~resume:j (spec 3) in
+  checki "resumed totals match" full.Campaign.test_cases
+    resumed.Campaign.test_cases;
+  Alcotest.check Alcotest.string "resumed fingerprint equals uninterrupted"
+    (Sweep.Ident.fingerprint [ row full ])
+    (Sweep.Ident.fingerprint [ row resumed ]);
+  rm_rf dir
+
 let () =
   Alcotest.run "robustness"
     [
@@ -260,5 +339,8 @@ let () =
             test_checkpoint_resume_determinism;
           Alcotest.test_case "bad corpus resumes fresh" `Quick
             test_resume_bad_corpus_fresh;
+          Alcotest.test_case "torn checkpoint" `Slow test_torn_journal_recovery;
+          Alcotest.test_case "resume preserves identity" `Slow
+            test_resume_preserves_identity;
         ] );
     ]
