@@ -106,10 +106,6 @@ type t = {
   max_cycles : int;
   deadlock_cycles : int;
   defense : defense;
-  legacy_hot_loop : bool;
-      (** run the pre-optimization pipeline ({!Pipeline_legacy}): the
-          benchmark baseline and differential-testing oracle; trace-identical
-          to the optimized hot loop, only slower *)
 }
 
 let default =
@@ -144,7 +140,6 @@ let default =
     max_cycles = 200_000;
     deadlock_cycles = 10_000;
     defense = Baseline;
-    legacy_hot_loop = false;
   }
 
 let with_defense defense t = { t with defense }

@@ -74,10 +74,6 @@ type t = {
   max_cycles : int;
   deadlock_cycles : int;
   defense : defense;
-  legacy_hot_loop : bool;
-      (** run the pre-optimization pipeline ({!Pipeline_legacy}): the
-          benchmark baseline and differential-testing oracle; trace-identical
-          to the optimized hot loop, only slower *)
 }
 
 val default : t

@@ -14,13 +14,14 @@
     kind chosen when a load issues (InvisiSpec / SpecLFB), squash
     notifications (CleanupSpec), and issue gating (STT taint tracking).
 
-    This is the optimized hot loop (see {!Pipeline_legacy} for the original):
-    the ROB is a preallocated ring buffer over an id-indexed entry arena,
-    per-instruction classification comes from the shared {!Decoded} program
-    cache, the {!Amulet_emu.Exec.machine} closures are built once per
-    pipeline, debug-event payloads are only materialized when the log is
-    enabled, and {!reset} rewinds all of it so steady-state runs reuse every
-    structure instead of reallocating them. *)
+    The hot loop is built for reuse: the ROB is a preallocated ring buffer
+    over an id-indexed entry arena, per-instruction classification comes
+    from the shared {!Decoded} program cache, the
+    {!Amulet_emu.Exec.machine} closures are built once per pipeline,
+    debug-event payloads are only materialized when the log is enabled, and
+    {!reset} rewinds all of it so steady-state runs reuse every structure
+    instead of reallocating them.  test/golden/hot_loop.tsv pins its traces,
+    cycle counts and run stats on fixed-seed cases. *)
 
 open Amulet_isa
 open Amulet_emu

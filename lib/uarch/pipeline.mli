@@ -6,8 +6,8 @@
     The hot loop runs over a preallocated ring-buffer ROB and an id-indexed
     entry arena, consumes the shared {!Amulet_isa.Decoded} program cache,
     and is rewound with {!reset} between runs so steady state reuses every
-    structure.  {!Pipeline_legacy} is the pre-optimization snapshot this
-    implementation must match bit for bit. *)
+    structure.  The committed table test/golden/hot_loop.tsv pins its
+    per-input traces, cycle counts and run stats. *)
 
 open Amulet_isa
 open Amulet_emu

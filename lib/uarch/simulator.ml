@@ -37,13 +37,7 @@ type t = {
   m_decodes : Amulet_obs.Obs.counter;
   mutable orders_live : bool;
       (** order traces of the last run live in [pipe] (extracted lazily);
-          false after a restore or a legacy-pipeline run *)
-  mutable last_bpred_order : (int * bool * int) list;
-      (** (pc, predicted taken, predicted target) of the last run, when not
-          [orders_live] *)
-  mutable last_exec_order : int list;
-      (** PCs in execution order (incl. wrong-path) of the last run, when
-          not [orders_live] *)
+          false after a restore *)
 }
 
 type run_stats = {
@@ -124,28 +118,6 @@ let finish_run t ~cycles ~committed_insts =
      survives for the next run *)
   Memsys.reset_transient t.ms |> ignore
 
-(* The original per-run path: build a fresh legacy pipeline (and throw it
-   away).  Kept as the benchmark baseline and differential-testing oracle. *)
-let run_flat_legacy t flat : run_stats =
-  let p =
-    Pipeline_legacy.create ~perf:t.perf t.cfg t.ms t.bp t.mdp t.log t.arch flat
-  in
-  let r = Pipeline_legacy.run p in
-  t.orders_live <- false;
-  t.last_bpred_order <- Pipeline_legacy.branch_prediction_order p;
-  t.last_exec_order <- Pipeline_legacy.execution_order p;
-  finish_run t ~cycles:r.Pipeline_legacy.cycles
-    ~committed_insts:r.Pipeline_legacy.committed_insts;
-  {
-    cycles = r.Pipeline_legacy.cycles;
-    committed_insts = r.Pipeline_legacy.committed_insts;
-    squashes = r.Pipeline_legacy.squashes;
-    squashed_insts = r.Pipeline_legacy.squashed_insts;
-    spec_issued = r.Pipeline_legacy.spec_issued;
-    mispredicts = r.Pipeline_legacy.mispredicts;
-    fault = r.Pipeline_legacy.fault;
-  }
-
 (* The hot path: rewind the persistent pipeline over a pre-decoded program. *)
 let run_decoded t (dec : Decoded.t) : run_stats =
   let p =
@@ -185,9 +157,7 @@ let decode_for t flat =
       note_decode t;
       d
 
-let run_flat t flat : run_stats =
-  if t.cfg.Config.legacy_hot_loop then run_flat_legacy t flat
-  else run_decoded t (decode_for t flat)
+let run_flat t flat : run_stats = run_decoded t (decode_for t flat)
 
 (** Create a simulator.  [boot_insts > 0] runs the synthetic warm-boot
     workload, making creation cost realistic (AMuLeT-Naive pays it per
@@ -225,8 +195,6 @@ let create ?(metrics = Amulet_obs.Obs.noop) ?(boot_insts = default_boot_insts)
       decodes = 0;
       m_decodes = Amulet_obs.Obs.counter metrics "engine.sim.decodes";
       orders_live = false;
-      last_bpred_order = [];
-      last_exec_order = [];
     }
   in
   if boot_insts > 0 then begin
@@ -290,12 +258,7 @@ let prime_decoded t =
 let simulate_fill_program t =
   let saved_r15 = State.read_reg t.arch Reg.R15 in
   State.write_reg t.arch Reg.R15 0L;
-  let stats =
-    if t.cfg.Config.legacy_hot_loop then
-      (* faithful baseline: the original rebuilt the fill program per call *)
-      run_flat_legacy t (prime_program t.cfg)
-    else run_decoded t (prime_decoded t)
-  in
+  let stats = run_decoded t (prime_decoded t) in
   State.write_reg t.arch Reg.R15 saved_r15;
   Memsys.reset_tlb t.ms;
   Memsys.reset_l1i t.ms;
@@ -318,10 +281,10 @@ let no_work =
     memory system one at a time, in program order.  Replaying that order
     with {!Memsys.prime_lines} is therefore exact, and the L2 — never reset
     between inputs — evolves as it would under simulation.  A next-line
-    prefetcher makes install order depend on MSHR timing, and the legacy hot
-    loop is the frozen baseline, so both still simulate. *)
+    prefetcher makes install order depend on MSHR timing, so it still
+    simulates. *)
 let prime_with_fills t =
-  if t.cfg.Config.legacy_hot_loop || t.cfg.Config.nl_prefetcher then
+  if t.cfg.Config.nl_prefetcher then
     simulate_fill_program t
   else begin
     Memsys.prime_lines t.ms t.prime_lines;
@@ -353,14 +316,14 @@ let clear_access_order t = Memsys.clear_access_order t.ms
    scratch buffers: only utrace formats that actually observe ordering pay
    for the list construction. *)
 let branch_prediction_order t =
-  if t.orders_live then
-    match t.pipe with Some p -> Pipeline.branch_prediction_order p | None -> []
-  else t.last_bpred_order
+  match t.pipe with
+  | Some p when t.orders_live -> Pipeline.branch_prediction_order p
+  | _ -> []
 
 let execution_order t =
-  if t.orders_live then
-    match t.pipe with Some p -> Pipeline.execution_order p | None -> []
-  else t.last_exec_order
+  match t.pipe with
+  | Some p when t.orders_live -> Pipeline.execution_order p
+  | _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* Predictor context snapshots (violation validation, §3.2)            *)
@@ -412,9 +375,7 @@ let restore t (s : snapshot) =
   Memory.blit ~src:s.s_mem ~dst:t.arch.State.mem;
   Memsys.reset_transient t.ms;
   Memsys.clear_access_order t.ms;
-  t.orders_live <- false;
-  t.last_bpred_order <- [];
-  t.last_exec_order <- []
+  t.orders_live <- false
 
 let reset_predictors t =
   Branch_pred.reset t.bp;

@@ -63,8 +63,8 @@ val prime_with_fills : t -> run_stats
 (** Fill every L1D set with out-of-sandbox lines, then reset the TLB and
     L1I.  Applies the fill program's cache effects directly
     ({!Memsys.prime_lines}): no simulated work, so the returned stats are
-    all zero.  Under [Config.legacy_hot_loop] or [Config.nl_prefetcher] it
-    runs {!simulate_fill_program} instead. *)
+    all zero.  Under [Config.nl_prefetcher], whose install order depends on
+    MSHR timing, it runs {!simulate_fill_program} instead. *)
 
 val simulate_fill_program : t -> run_stats
 (** Prime by running the fill program (one dependent load per L1D way)

@@ -271,18 +271,12 @@ let test_direct_prime_matches_fill_program () =
         ])
     fill_presets
 
-(* the two configurations that keep the simulated prime *)
+(* the one configuration that keeps the simulated prime *)
 let test_simulated_prime_kept () =
-  let base = Defense.config Defense.invisispec in
-  List.iter
-    (fun (label, cfg) ->
-      let stats = Simulator.prime_with_fills (sim_of ~cfg ()) in
-      checkb (label ^ ": prime simulated") true
-        (stats.Simulator.cycles > 0 && stats.Simulator.committed_insts > 0))
-    [
-      "legacy hot loop", { base with Config.legacy_hot_loop = true };
-      "next-line prefetcher", { base with Config.nl_prefetcher = true };
-    ]
+  let cfg = { (Defense.config Defense.invisispec) with Config.nl_prefetcher = true } in
+  let stats = Simulator.prime_with_fills (sim_of ~cfg ()) in
+  checkb "next-line prefetcher: prime simulated" true
+    (stats.Simulator.cycles > 0 && stats.Simulator.committed_insts > 0)
 
 (* the fill loads read zeros only while the sandbox stays below the
    priming region *)
