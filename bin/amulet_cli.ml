@@ -500,7 +500,8 @@ let fuzz_cmd =
       $ generation_t $ corpus_out $ metrics_t $ json_t)
   in
   Cmd.v
-    (Cmd.info "fuzz" ~doc:"Run a testing campaign against a secure-speculation defense.")
+    (Cmd.info "fuzz" ~exits:Output.exits
+       ~doc:"Run a testing campaign against a secure-speculation defense.")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -615,7 +616,7 @@ let sweep_cmd =
       $ json_t)
   in
   Cmd.v
-    (Cmd.info "sweep"
+    (Cmd.info "sweep" ~exits:Output.exits
        ~doc:
          "Run the defense matrix (AMuLeT \xc2\xa75) as one sharded, \
           work-stealing sweep: per-preset campaign shards on parallel \
@@ -733,7 +734,7 @@ let reproduce_cmd =
   in
   let term = Term.(const run $ name_t $ seed_t $ json_t) in
   Cmd.v
-    (Cmd.info "reproduce"
+    (Cmd.info "reproduce" ~exits:Output.exits
        ~doc:
          "Hunt one of the paper's known vulnerabilities with its crafted \
           test, or replay a saved violation / triage PoC file.  Exits 1 \
@@ -778,7 +779,7 @@ let run_cmd =
   in
   let term = Term.(const run $ file $ defense_t $ seed_t) in
   Cmd.v
-    (Cmd.info "run"
+    (Cmd.info "run" ~exits:Output.exits
        ~doc:"Execute an assembly file on the simulator with a random input and \
              print its debug log and trace.")
     term
@@ -825,7 +826,7 @@ let explain_cmd =
   in
   let term = Term.(const run $ file $ json_t $ ways $ mshrs $ do_minimize) in
   Cmd.v
-    (Cmd.info "explain"
+    (Cmd.info "explain" ~exits:Output.exits
        ~doc:
          "Violation forensics: re-run a saved violation's two inputs from an \
           identical microarchitectural context and report the contract-trace \
@@ -911,7 +912,7 @@ let triage_cmd =
       $ json_t)
   in
   Cmd.v
-    (Cmd.info "triage"
+    (Cmd.info "triage" ~exits:Output.exits
        ~doc:
          "Reduce a violation stream to distinct root causes: load saved \
           violations / journals / journal directories, cluster by \
@@ -1071,7 +1072,7 @@ let lint_cmd =
     Term.(const run $ file $ reproducer $ window $ defense_t $ json_t)
   in
   Cmd.v
-    (Cmd.info "lint"
+    (Cmd.info "lint" ~exits:Output.exits
        ~doc:
          "Statically analyze a test program without simulating it: \
           well-formedness diagnostics, input-taint flows, speculation \
@@ -1181,7 +1182,7 @@ let corpus_cmd =
   in
   let term = Term.(const run $ file $ top $ programs $ json_t) in
   Cmd.v
-    (Cmd.info "corpus"
+    (Cmd.info "corpus" ~exits:Output.exits
        ~doc:
          "Inspect a guided-fuzzing corpus checkpoint: scheduler parameters, \
           coverage-map statistics and the top-scored seeds.  Exits 0 on a \
@@ -1267,15 +1268,25 @@ let list_cmd =
     end;
     Output.exit_clean
   in
-  Cmd.v (Cmd.info "list" ~doc:"List defenses, contracts, trace formats, reproducers.")
+  Cmd.v
+    (Cmd.info "list" ~exits:Output.exits
+       ~doc:"List defenses, contracts, trace formats, reproducers.")
     Term.(const run $ json_t)
 
 let main =
   let doc = "AMuLeT: automated design-time testing of secure speculation countermeasures" in
-  Cmd.group (Cmd.info "amulet" ~version:"1.0.0" ~doc)
+  Cmd.group (Cmd.info "amulet" ~exits:Output.exits ~version:"1.0.0" ~doc)
     [
       fuzz_cmd; sweep_cmd; reproduce_cmd; run_cmd; explain_cmd; triage_cmd;
       lint_cmd; corpus_cmd; list_cmd;
     ]
 
-let () = exit (Cmd.eval' main)
+(* Cmdliner's own failures (a bad option or argument, a term error, an
+   uncaught exception) are usage errors or faults: exit 2, as
+   bin/output.ml promises, not Cmdliner's 124/125. *)
+let () =
+  exit
+    (match Cmd.eval_value main with
+    | Ok (`Ok code) -> code
+    | Ok (`Version | `Help) -> Output.exit_clean
+    | Error (`Parse | `Term | `Exn) -> Output.exit_fault)

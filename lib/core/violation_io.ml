@@ -227,14 +227,22 @@ let hex_value = function
   | 'A' .. 'F' as c -> Char.code c - 55
   | _ -> -1
 
-let mem_of_lines lines =
+(* A memory image is whole sandbox pages: a replay builds its state with
+   [Memory.create ~pages]. *)
+let mem_of_lines name lines =
   let lines = List.map String.trim lines in
   List.iter
     (fun l -> if String.exists (fun c -> hex_value c < 0) l then bad "memory line" l)
     lines;
   let hex = String.concat "" lines in
   if String.length hex mod 2 <> 0 then raise (Format_error "odd hex length");
-  Bytes.init (String.length hex / 2) (fun i ->
+  let bytes = String.length hex / 2 in
+  if bytes = 0 || bytes mod Amulet_emu.Memory.page_size <> 0 then
+    raise
+      (Format_error
+         (Printf.sprintf "[%s]: a %d-byte image is not a positive multiple of the %d-byte page"
+            name bytes Amulet_emu.Memory.page_size));
+  Bytes.init bytes (fun i ->
       Char.chr ((hex_value hex.[2 * i] lsl 4) lor hex_value hex.[(2 * i) + 1]))
 
 let stored_names =
@@ -250,7 +258,7 @@ let stored_of_sections ?(extra = fun _ -> false) (doc : section list) : stored =
   let input label =
     {
       Input.regs = regs_of_lines (section doc (label ^ ".regs"));
-      mem = mem_of_lines (section doc (label ^ ".mem"));
+      mem = mem_of_lines (label ^ ".mem") (section doc (label ^ ".mem"));
     }
   in
   {

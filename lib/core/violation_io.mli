@@ -93,7 +93,9 @@ val output : out_channel -> stored -> unit
 val save : stored -> string -> unit
 
 val parse : string list -> stored
-(** Parse the lines of one {!output} block.  Raises {!Format_error}. *)
+(** Parse the lines of one {!output} block.  Raises {!Format_error},
+    among others for a memory image that is not a positive multiple of
+    [Amulet_emu.Memory.page_size] bytes. *)
 
 val load : string -> stored
 (** Raises {!Format_error} on malformed input. *)

@@ -248,6 +248,16 @@ let test_golden_journal () =
     (Violation_io.kind_of_file path = Some Violation_io.Journal);
   checks "save (load x) = x" (read path) (saved (Journal.save (Journal.load path)))
 
+(* A memory image must be whole sandbox pages: a 96-byte image is a
+   Format_error naming its section and size, not an assertion failure
+   when a replay builds its memory. *)
+let test_short_memory_image_rejected () =
+  match Violation_io.load "golden/short_mem.amulet" with
+  | exception Violation_io.Format_error msg ->
+      checkb ("names the section and size: " ^ msg) true
+        (contains msg ".mem]" && contains msg "96-byte")
+  | _ -> Alcotest.fail "a 96-byte memory image loaded"
+
 (* A malformed field value (unknown register, non-hex memory, bad branch
    target) is a Format_error, so triage skips the entry and keeps going. *)
 let test_corrupt_entries_skipped () =
@@ -305,6 +315,8 @@ let () =
           Alcotest.test_case "golden violation" `Quick test_golden_violation;
           Alcotest.test_case "golden poc" `Quick test_golden_poc;
           Alcotest.test_case "golden journal" `Quick test_golden_journal;
+          Alcotest.test_case "short memory image rejected" `Quick
+            test_short_memory_image_rejected;
           Alcotest.test_case "corrupt entries skipped" `Quick
             test_corrupt_entries_skipped;
         ] );
