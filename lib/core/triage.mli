@@ -101,6 +101,13 @@ val explain :
 val of_violation : ?sim_config:Amulet_uarch.Config.t -> Violation.t -> finding
 (** As {!explain}, for an in-memory violation (its stored projection). *)
 
+val flip_candidates :
+  Amulet_uarch.Config.t ->
+  (string * mechanism_kind * string * Amulet_uarch.Config.t) list
+(** The single-flip variants {!bisect} tries, in order: the defense's
+    unpatched bug flags, then capacity and feature knobs.  Each is
+    (name, kind, description, flipped config). *)
+
 val bisect :
   ?l1d_ways:int ->
   ?mshrs:int ->

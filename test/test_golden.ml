@@ -1,12 +1,13 @@
 (* Golden fixtures: fixed-seed tables of what the simulator and whole
    campaigns produce, compared with the committed golden/hot_loop.tsv and
-   golden/campaigns.tsv by the diff rules in test/dune.  Every program and
+   golden/campaigns.tsv and golden/replay.tsv by the diff rules in
+   test/dune.  Every program and
    input comes from a seeded PRNG (PAPER.md §2.4), so each table is a
    constant of the code: a change that moves a row shows as a diff under
    `dune runtest`.  Accept an intended move with `dune promote` and name
    the moved rows in CHANGES.md.
 
-   Usage: test_golden.exe (hot_loop | campaigns) > table.tsv *)
+   Usage: test_golden.exe (hot_loop | campaigns | replay) > table.tsv *)
 
 open Amulet
 open Amulet_defenses
@@ -188,10 +189,83 @@ let campaigns () =
       md5 (Triage.report_to_json triage); "-";
     ]
 
+(* ------------------------------------------------------------------ *)
+(* replay.tsv: every re-execution of a stored violation pair           *)
+(* ------------------------------------------------------------------ *)
+
+(* The random-campaign violations of two released presets, replayed by
+   each analysis that re-executes a stored pair: signing, journal-resume
+   rehydration, fresh-context revalidation under the base config and
+   every bisection flip, explain under the default and two amplified
+   configs (on these pairs only the MSHR count moves the report), and
+   minimization of each triage representative. *)
+let replay_rows (d : Defense.t) =
+  let r = Campaign.run (small d) in
+  let name = d.Defense.name in
+  let base = Defense.config d in
+  List.iteri
+    (fun i v ->
+      let id = Printf.sprintf "v%03d" i in
+      let out check fields = row ([ name; id; check ] @ fields) in
+      let s = Violation_io.of_violation v in
+      let hash t = Printf.sprintf "%016Lx" (Utrace.hash t) in
+      out "sign" [ Analysis.class_name (fst (Analysis.sign v)) ];
+      let h = Violation_io.rehydrate s in
+      (* the rehydrated context, pinned by what a rerun from it yields *)
+      let eng = Engine.create ~mode:Executor.Opt d (Stats.create ()) in
+      let from_ctx input =
+        hash (Engine.run eng ~context:h.Violation.context h.Violation.program input).Engine.trace
+      in
+      out "rehydrate"
+        [
+          hash h.Violation.trace_a;
+          hash h.Violation.trace_b;
+          from_ctx s.Violation_io.input_a;
+          from_ctx s.Violation_io.input_b;
+        ];
+      let still cfg =
+        string_of_bool
+          (Minimize.still_violates ~defense:d ~contract:v.Violation.contract
+             ~sim_config:(Some cfg) v.Violation.program v.Violation.input_a
+             v.Violation.input_b)
+      in
+      out "still_violates:base" [ still base ];
+      List.iter
+        (fun (flip, _, _, cfg) -> out ("still_violates:" ^ flip) [ still cfg ])
+        (Triage.flip_candidates base);
+      out "explain" [ md5 (Triage.finding_to_json (Triage.explain s)) ];
+      out "explain:l1d_ways=2"
+        [ md5 (Triage.finding_to_json (Triage.explain ~l1d_ways:2 s)) ];
+      out "explain:mshrs=2" [ md5 (Triage.finding_to_json (Triage.explain ~mshrs:2 s)) ])
+    r.Campaign.violations;
+  let stream =
+    List.mapi
+      (fun i v -> (Printf.sprintf "v%03d" i, Violation_io.of_violation v))
+      r.Campaign.violations
+  in
+  List.iter
+    (fun (c : Triage.cluster) ->
+      let m = Minimize.minimize c.Triage.representative.Triage.stored in
+      row
+        [
+          name;
+          Printf.sprintf "rep%d" c.Triage.rank;
+          "minimize";
+          string_of_int m.Minimize.kept;
+          string_of_int m.Minimize.removed;
+          md5 (Format.asprintf "%a" Amulet_isa.Program.pp_flat m.Minimize.minimized);
+        ])
+    (Triage.run ~bisect:false stream).Triage.clusters
+
+let replay () =
+  row [ "preset"; "violation"; "check"; "result" ];
+  List.iter replay_rows [ Defense.speclfb; Defense.invisispec ]
+
 let () =
   match Sys.argv with
   | [| _; "hot_loop" |] -> hot_loop ()
   | [| _; "campaigns" |] -> campaigns ()
+  | [| _; "replay" |] -> replay ()
   | _ ->
-      prerr_endline "usage: test_golden.exe (hot_loop | campaigns)";
+      prerr_endline "usage: test_golden.exe (hot_loop | campaigns | replay)";
       exit 2
