@@ -419,29 +419,17 @@ let show_reproducer ?(side_by_side = false) title (r : Reproducers.t) =
   | Some v ->
       Format.printf "%a@." Violation.pp v;
       if side_by_side then begin
-        let sim_config =
-          match r.Reproducers.expected_class with
-          | Analysis.Mshr_interference_uv2 ->
-              Some (Defense.config ~l1d_ways:2 ~mshrs:2 r.Reproducers.defense)
-          | _ -> None
-        in
-        let ex =
-          Engine.create ~boot_insts:500 ?sim_config ~mode:Executor.Opt
-            r.Reproducers.defense (Stats.create ())
-        in
-        Engine.start_program ex;
-        let ea =
-          (Engine.run ex ~context:v.Violation.context ~log:true
-             v.Violation.program v.Violation.input_a)
-            .Engine.events
-        in
-        let eb =
-          (Engine.run ex ~context:v.Violation.context ~log:true
-             v.Violation.program v.Violation.input_b)
-            .Engine.events
+        let replay =
+          Engine.replay
+            (Engine.analysis ~boot_insts:500
+               ?sim_config:(Reproducers.amplification r) r.Reproducers.defense)
+            ~log:true (Engine.Context v.Violation.context) v.Violation.program
+            v.Violation.input_a v.Violation.input_b
         in
         Format.printf "--- operation sequences, side by side ---@.%a@."
-          (fun f () -> Analysis.pp_side_by_side f ea eb)
+          (fun f () ->
+            Analysis.pp_side_by_side f replay.Engine.a.Engine.events
+              replay.Engine.b.Engine.events)
           ()
       end
 

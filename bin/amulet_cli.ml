@@ -759,9 +759,7 @@ let run_cmd =
     Format.printf "--- program ---@.%a@." Amulet_isa.Program.pp_flat flat;
     let rng = Rng.create ~seed in
     let input = Input.generate rng ~pages:defense.Defense.sandbox_pages in
-    let stats = Stats.create () in
-    let ex = Engine.create ~boot_insts:1000 ~mode:Executor.Opt defense stats in
-    Engine.start_program ex;
+    let ex = Engine.analysis ~boot_insts:1000 defense in
     let outcome =
       let o = Engine.run ex flat input in
       Engine.run ex ~context:o.Engine.context ~log:true flat input
@@ -803,17 +801,12 @@ let explain_cmd =
   let do_minimize =
     Arg.(value & flag & info [ "minimize" ] ~doc:"Also minimize the test program.")
   in
-  let run file json ways mshrs do_minimize =
+  let run file json l1d_ways mshrs do_minimize =
    Output.guarded @@ fun () ->
     let stored = Violation_io.load file in
-    let sim_config =
-      match ways, mshrs, Defense.find stored.Violation_io.defense_name with
-      | None, None, _ | _, _, None -> None
-      | _, _, Some d -> Some (Defense.config ?l1d_ways:ways ?mshrs d)
-    in
     (* bisect and shrink leave a not-reproduced finding untouched *)
-    let f = Triage.bisect ?sim_config (Triage.explain ?sim_config stored) in
-    let f = if do_minimize then Triage.shrink ?sim_config f else f in
+    let f = Triage.bisect ?l1d_ways ?mshrs (Triage.explain ?l1d_ways ?mshrs stored) in
+    let f = if do_minimize then Triage.shrink ?l1d_ways ?mshrs f else f in
     (* a strict one-element view of the triage schema: the report either
        holds this finding's singleton cluster or records it as dead *)
     let report = Triage.singleton_report ~origin:file f in

@@ -23,20 +23,14 @@ let () =
   | Fuzzer.Found v ->
       Format.printf "%a@." Violation.pp v;
       (* Step 1: re-run both inputs with the debug log enabled. *)
-      let ex =
-        Engine.create ~boot_insts:1000 ~mode:Executor.Opt defense (Stats.create ())
+      let replay =
+        Engine.replay
+          (Engine.analysis ~boot_insts:1000 defense)
+          ~log:true (Engine.Context v.Violation.context) v.Violation.program
+          v.Violation.input_a v.Violation.input_b
       in
-      Engine.start_program ex;
-      let events_a =
-        (Engine.run ex ~context:v.Violation.context ~log:true
-           v.Violation.program v.Violation.input_a)
-          .Engine.events
-      in
-      let events_b =
-        (Engine.run ex ~context:v.Violation.context ~log:true
-           v.Violation.program v.Violation.input_b)
-          .Engine.events
-      in
+      let events_a = replay.Engine.a.Engine.events in
+      let events_b = replay.Engine.b.Engine.events in
       (* Step 2: side-by-side comparison of memory operations (the layout of
          the paper's Tables 9 and 10; differing rows are starred). *)
       Format.printf "--- side-by-side memory operations ---@.";

@@ -183,25 +183,17 @@ let classify ~(defense : Amulet_defenses.Defense.t) (events_a : Event.t list)
     else Spectre_v1_evict
   else Unknown
 
-(** Classify a finding by re-running its pair with logging enabled on a
-    fresh [Opt] engine under the violation's defense, and return the class
-    with the signed copy.  Classification is pure, so this is the one
-    place a signature is attached. *)
+(* Classification is pure, so this is the one place a signature is
+   attached. *)
 let sign ?boot_insts ?sim_config ?format (v : Violation.t) =
   let defense = Violation_io.resolve_defense v.Violation.defense_name in
-  let engine =
-    Engine.create ?boot_insts ?sim_config ?format ~mode:Executor.Opt defense
-      (Stats.create ())
+  let r =
+    Engine.replay
+      (Engine.analysis ?boot_insts ?sim_config ?format defense)
+      ~log:true (Engine.Context v.Violation.context) v.Violation.program
+      v.Violation.input_a v.Violation.input_b
   in
-  Engine.start_program engine;
-  let events input =
-    (Engine.run engine ~context:v.Violation.context ~log:true
-       v.Violation.program input)
-      .Engine.events
-  in
-  let events_a = events v.Violation.input_a in
-  let events_b = events v.Violation.input_b in
-  let c = classify ~defense events_a events_b in
+  let c = classify ~defense r.Engine.a.Engine.events r.Engine.b.Engine.events in
   (c, Violation.with_signature (class_name c) v)
 
 (* ------------------------------------------------------------------ *)

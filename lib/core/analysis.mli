@@ -33,8 +33,9 @@ val sign :
   ?format:Utrace.format ->
   Violation.t ->
   leak_class * Violation.t
-(** Re-run the violating pair with logging enabled on a fresh [Opt] engine
-    under the violation's defense, classify it, and return the class with
+(** {!Engine.replay} the violating pair from its own detection context,
+    with logging, on a new {!Engine.analysis} engine under the violation's
+    defense, classify it, and return the class with
     a copy signed by its class name (see {!Violation.with_signature}).
     [format] must match the campaign's trace format. *)
 

@@ -49,6 +49,35 @@ let count_classes classes =
    cycles: resumability depends only on (seed, i). *)
 let round_seed seed i = seed + ((i + 1) * 2654435761)
 
+let rehydrate ?sim_config (s : Violation_io.stored) : Violation.t =
+  let defense = Violation_io.resolve_defense s.defense_name in
+  let r =
+    Engine.replay (Engine.analysis ?sim_config defense) Engine.Fresh s.program s.input_a
+      s.input_b
+  in
+  let trace_a = r.a.trace and trace_b = r.b.trace in
+  let ctrace_hash, trace_a_hash, trace_b_hash =
+    match s.identity with
+    | Some id -> id
+    | None -> (0L, Utrace.hash trace_a, Utrace.hash trace_b)
+  in
+  {
+    Violation.program = s.program;
+    program_text = Format.asprintf "%a" Amulet_isa.Program.pp_flat s.program;
+    input_a = s.input_a;
+    input_b = s.input_b;
+    trace_a;
+    trace_b;
+    context = r.from;
+    ctrace_hash;
+    trace_a_hash;
+    trace_b_hash;
+    contract = Violation_io.resolve_contract defense s.contract_name;
+    defense_name = s.defense_name;
+    detection_seconds = 0.;
+    signature = s.signature;
+  }
+
 let classify_one (spec : Run_spec.t) v =
   Analysis.sign ?sim_config:spec.Run_spec.sim_config
     ~format:spec.Run_spec.trace_format v
@@ -76,7 +105,7 @@ let run ?(on_violation = fun (_ : Violation.t) -> ()) ?journal_path
     | Some (j : Journal.t) ->
         let vs =
           List.map
-            (Violation_io.rehydrate ?sim_config:spec.Run_spec.sim_config)
+            (rehydrate ?sim_config:spec.Run_spec.sim_config)
             j.Journal.violations
         in
         ( j.Journal.programs_run,

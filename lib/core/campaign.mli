@@ -35,6 +35,12 @@ val round_seed : int -> int -> int
     identical whether the round is reached in one uninterrupted run or
     after any number of kill/resume cycles. *)
 
+val rehydrate : ?sim_config:Amulet_uarch.Config.t -> Violation_io.stored -> Violation.t
+(** Rebuild a journaled violation for a resumed campaign: traces and
+    context from a [Fresh] {!Engine.replay}, identity hashes from the
+    stored detection-time ones, so the resumed campaign fingerprints as the
+    uninterrupted one does. *)
+
 val run :
   ?on_violation:(Violation.t -> unit) ->
   ?journal_path:string ->

@@ -19,6 +19,8 @@ type outcome = {
       (** per-run pipeline totals (squashes, speculative issues,
           mispredicts): deterministic feedback for guided generation *)
   events : Event.t list;  (** debug log of the run; [[]] unless [?log] *)
+  counters : Obs.Snapshot.t;
+      (** registry delta over the run; empty unless [?log] *)
 }
 
 type batch = {
@@ -226,10 +228,14 @@ let run_loaded t sim flat (input : Input.t) =
     cycles = stats_run.cycles;
     sim_stats = stats_run;
     events = [];
+    counters = Obs.Snapshot.empty;
   }
 
-(* As [run_loaded], with the debug event log enabled for the run. *)
+(* As [run_loaded], with the debug event log enabled for the run and the
+   registry's delta over it recorded. *)
 let run_logged t sim flat input =
+  let registry = Stats.registry t.stats in
+  let before = Obs.Snapshot.of_registry registry in
   let log = Simulator.log sim in
   Event.clear log;
   Event.set_enabled log true;
@@ -237,7 +243,8 @@ let run_logged t sim flat input =
   Event.set_enabled log false;
   let events = Event.events log in
   Event.clear log;
-  { outcome with events }
+  let counters = Obs.Snapshot.diff ~older:before ~newer:(Obs.Snapshot.of_registry registry) in
+  { outcome with events; counters }
 
 (** Execute one test case (program, input) and produce its trace.
 
@@ -251,7 +258,7 @@ let run_logged t sim flat input =
     difference between two inputs is caused by the inputs alone.
 
     [?log] enables the debug event log for this run and fills
-    [outcome.events] (root-cause analysis path). *)
+    [outcome.events] and [outcome.counters] (root-cause analysis path). *)
 let run t ?context ?(log = false) flat (input : Input.t) =
   let runner = if log then run_logged else run_loaded in
   match context with
@@ -272,16 +279,33 @@ let run t ?context ?(log = false) flat (input : Input.t) =
           prime t sim;
           runner t sim flat input)
 
+type from = Fresh | Context of Simulator.context
+
+type replay = { a : outcome; b : outcome; from : Simulator.context }
+
+let replay t ?log from flat a b =
+  let context = match from with Context c -> Some c | Fresh -> start_program t; None in
+  let oa = run t ?context ?log flat a in
+  let ob = run t ?context ?log flat b in
+  { a = oa; b = ob; from = Option.value context ~default:oa.context }
+
 (* Definition 2.1 fixes the starting context mu: following the paper, each
    candidate context is tried in turn, and a difference that persists under
    one shared context is a real, input-caused leak. *)
 let validate t flat a b contexts =
-  let try_ctx ctx =
-    let ta = (run t ~context:ctx flat a).trace in
-    let tb = (run t ~context:ctx flat b).trace in
-    if Utrace.equal ta tb then None else Some (ta, tb, ctx)
+  List.find_map
+    (fun ctx ->
+      let r = replay t (Context ctx) flat a b in
+      if Utrace.equal r.a.trace r.b.trace then None else Some r)
+    contexts
+
+let analysis ?boot_insts ?format ?sim_config ?metrics defense =
+  let t =
+    create ?boot_insts ?format ?sim_config ~mode:Executor.Opt defense
+      (Stats.create ?metrics ())
   in
-  List.find_map try_ctx contexts
+  start_program t;
+  t
 
 let run_batch t ?(check = fun () -> ()) flat inputs =
   let started = Obs.Clock.now_s () in

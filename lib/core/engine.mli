@@ -33,6 +33,8 @@ type outcome = {
           present even when telemetry is detached *)
   events : Event.t list;
       (** debug log of the run; [[]] unless [?log] was set *)
+  counters : Amulet_obs.Obs.Snapshot.t;
+      (** the registry's delta over the run; empty unless [?log] was set *)
 }
 
 (** Result of one batched pass: per-input outcomes in input order.  A
@@ -90,21 +92,35 @@ val run :
 (** Execute one test case.  Without [?context], a fresh run under the
     engine's mode; with [?context], a validation rerun from an exactly
     reproduced microarchitectural starting context.  [?log] (default
-    [false]) enables the debug event log and fills [outcome.events]. *)
+    [false]) enables the debug event log and fills [outcome.events] and
+    [outcome.counters]. *)
+
+type from =
+  | Fresh  (** {!start_program}, then A and B run as a campaign runs them *)
+  | Context of Simulator.context  (** both from this one context (§3.2) *)
+
+type replay = { a : outcome; b : outcome; from : Simulator.context (** A's *) }
+
+val replay : t -> ?log:bool -> from -> Program.flat -> Input.t -> Input.t -> replay
+(** Run input A, then input B, from [from]: the one way any stored input
+    pair is re-executed.  [?log] and the work counts are {!run}'s. *)
 
 val validate :
-  t ->
-  Program.flat ->
-  Input.t ->
-  Input.t ->
-  Simulator.context list ->
-  (Utrace.t * Utrace.t * Simulator.context) option
-(** [validate t flat a b contexts]: the validation rule.  Re-run both
-    inputs from each context in turn (typically the two inputs' own
-    starting contexts, A's first) and return the first trace pair that
-    still differs, with its context; [None] when every shared context
-    makes the traces agree (the difference was context drift, not a
-    leak). *)
+  t -> Program.flat -> Input.t -> Input.t -> Simulator.context list -> replay option
+(** The validation rule: {!replay} the pair from each context in turn
+    (typically the inputs' own, A's first) and return the first replay
+    whose traces still differ; [None] means the difference was context
+    drift, not a leak. *)
+
+val analysis :
+  ?boot_insts:int ->
+  ?format:Utrace.format ->
+  ?sim_config:Config.t ->
+  ?metrics:Amulet_obs.Obs.t ->
+  Defense.t ->
+  t
+(** The engine analyses replay on: [Opt], [Pooled], a private {!Stats.t}
+    over [metrics] (default detached), already started. *)
 
 val run_batch : t -> ?check:(unit -> unit) -> Program.flat -> Input.t array -> batch
 (** {!start_program}, then execute all inputs of the program against the

@@ -414,7 +414,7 @@ let test_program_exn t (flat : Program.flat) dl : round_result =
                                  Engine.validate t.engine flat a.input b.input
                                    [ oa.Engine.context; ob.Engine.context ]
                                with
-                              | Some (ta, tb, ctx) -> candidate := Some (a, b, ta, tb, ctx)
+                              | Some r -> candidate := Some (a, b, r)
                               | None -> ())
                         | _ -> ())
                     rest
@@ -422,7 +422,8 @@ let test_program_exn t (flat : Program.flat) dl : round_result =
             (classes_of (Array.to_list arr));
           match !candidate with
           | None -> No_violation { test_cases = Array.length arr }
-          | Some (a, b, ta, tb, ctx) ->
+          | Some (a, b, { Engine.a = ra; b = rb; from = ctx }) ->
+              let ta = ra.Engine.trace and tb = rb.Engine.trace in
               Obs.incr t.m_violations;
               Found
                 {

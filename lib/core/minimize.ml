@@ -22,7 +22,8 @@ type result = {
 
 (* Does the violation still reproduce on [flat] for this input pair?  Both
    contract-equality and a validated microarchitectural difference must
-   hold, under a fresh executor (same defense/config as the original). *)
+   hold: the pair is replayed fresh on a new engine (same defense/config as
+   the original), then validated from each input's starting context. *)
 let still_violates ~defense ~contract ~sim_config flat (a : Input.t) (b : Input.t) =
   let ctrace i = Leakage_model.collect contract flat (Input.to_state i) in
   let ra = ctrace a and rb = ctrace b in
@@ -30,14 +31,10 @@ let still_violates ~defense ~contract ~sim_config flat (a : Input.t) (b : Input.
   && rb.Leakage_model.fault = None
   && Int64.equal ra.Leakage_model.ctrace_hash rb.Leakage_model.ctrace_hash
   &&
-  let ex =
-    Engine.create ~boot_insts:200 ?sim_config ~mode:Executor.Opt defense
-      (Stats.create ())
-  in
-  Engine.start_program ex;
-  let oa = Engine.run ex flat a in
-  let ob = Engine.run ex flat b in
-  Engine.validate ex flat a b [ oa.Engine.context; ob.Engine.context ] <> None
+  let e = Engine.analysis ~boot_insts:200 ?sim_config defense in
+  let r = Engine.replay e Engine.Fresh flat a b in
+  Engine.validate e flat a b [ r.Engine.a.Engine.context; r.Engine.b.Engine.context ]
+  <> None
 
 let nop_count flat =
   Array.fold_left
@@ -72,13 +69,3 @@ let minimize ?sim_config (s : Violation_io.stored) : result =
     removed = !removed;
     kept = Array.length code - nop_count minimized;
   }
-
-let pp_result fmt r =
-  Format.fprintf fmt "minimized to %d instructions (%d removed):@." r.kept r.removed;
-  Array.iteri
-    (fun i inst ->
-      if inst <> Inst.Nop then
-        Format.fprintf fmt "  0x%x: %a@."
-          (Program.pc_of_index r.minimized i)
-          Inst.pp inst)
-    r.minimized.Program.code

@@ -20,11 +20,10 @@ val still_violates :
   Input.t ->
   Input.t ->
   bool
-(** Does the pair still form a validated violation on this program, under a
-    fresh executor? *)
+(** Does the pair still form a validated violation on this program: equal
+    contract traces, and a [Fresh] {!Engine.replay} (200-instruction boot)
+    that {!Engine.validate} confirms from A's or B's context? *)
 
 val minimize : ?sim_config:Amulet_uarch.Config.t -> Violation_io.stored -> result
 (** Shrink a stored violation's program under its resolved defense and
     contract ({!Violation_io.resolve_defense}). *)
-
-val pp_result : Format.formatter -> result -> unit

@@ -244,17 +244,16 @@ let find name = List.find_opt (fun r -> r.name = name) all
 
 let flat r = Program.flatten (Asm.parse r.asm)
 
+let amplification r =
+  match r.expected_class with
+  | Analysis.Mshr_interference_uv2 ->
+      Some (Amulet_defenses.Defense.config ~l1d_ways:2 ~mshrs:2 r.defense)
+  | _ -> None
+
 (** Fuzz a reproducer against its defense, returning the violation (with its
-    signature filled in) if one is found within the given budget.
-    [amplified] shrinks MSHRs/ways for the UV2 scenario. *)
+    signature filled in) if one is found within the given budget. *)
 let hunt ?(seed = 7) ?(n_base_inputs = 10) ?(boosts_per_input = 8) ?sim_config r =
-  let sim_config =
-    match sim_config, r.expected_class with
-    | Some c, _ -> Some c
-    | None, Analysis.Mshr_interference_uv2 ->
-        Some (Amulet_defenses.Defense.config ~l1d_ways:2 ~mshrs:2 r.defense)
-    | None, _ -> None
-  in
+  let sim_config = match sim_config with Some _ -> sim_config | None -> amplification r in
   let spec seed =
     Run_spec.make ~defense:r.defense ~seed ~inputs:n_base_inputs
       ~boosts:boosts_per_input ~boot_insts:500 ?sim_config ()

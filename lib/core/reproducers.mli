@@ -33,6 +33,10 @@ val all : t list
 val find : string -> t option
 val flat : t -> Program.flat
 
+val amplification : t -> Amulet_uarch.Config.t option
+(** The config a reproducer needs beyond its defense's own: UV2 runs with
+    two L1D ways and two MSHRs. *)
+
 val hunt :
   ?seed:int ->
   ?n_base_inputs:int ->
@@ -40,7 +44,8 @@ val hunt :
   ?sim_config:Amulet_uarch.Config.t ->
   t ->
   Violation.t option
-(** Fuzz the crafted program against its defense (auto-amplifying for UV2);
+(** Fuzz the crafted program against its defense (default config: its
+    {!amplification});
     falls back to a random campaign filtered by the expected signature when
     hand-crafted timing does not line up.  The returned violation has its
     signature filled in. *)

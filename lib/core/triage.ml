@@ -217,30 +217,17 @@ let explain ?l1d_ways ?mshrs ?sim_config (s : Violation_io.stored) : finding =
   in
   let sim_config = resolve_config ?l1d_ways ?mshrs ?sim_config defense in
   let flat = s.Violation_io.program in
-  let metrics = Obs.create () in
-  let ex =
-    Engine.create ?sim_config ~mode:Executor.Opt defense
-      (Stats.create ~metrics ())
-  in
-  Engine.start_program ex;
-  (* run A once fresh, only to capture a starting context both inputs can
-     then share — exactly the validation discipline of the fuzzer *)
-  let oa0 = Engine.run ex flat s.Violation_io.input_a in
-  let ctx = oa0.Engine.context in
-  let snap () = Obs.Snapshot.of_registry metrics in
-  let s0 = snap () in
-  let oa = Engine.run ex ~context:ctx ~log:true flat s.Violation_io.input_a in
-  let s1 = snap () in
-  let ob = Engine.run ex ~context:ctx ~log:true flat s.Violation_io.input_b in
-  let s2 = snap () in
-  let counters_a = uarch_only (Obs.Snapshot.diff ~older:s0 ~newer:s1) in
-  let counters_b = uarch_only (Obs.Snapshot.diff ~older:s1 ~newer:s2) in
-  let ra =
-    Leakage_model.collect contract flat (Input.to_state s.Violation_io.input_a)
-  in
-  let rb =
-    Leakage_model.collect contract flat (Input.to_state s.Violation_io.input_b)
-  in
+  let e = Engine.analysis ?sim_config ~metrics:(Obs.create ()) defense in
+  let a = s.Violation_io.input_a and b = s.Violation_io.input_b in
+  (* replay fresh only to capture A's starting context, which both inputs
+     then share: exactly the validation discipline of the fuzzer *)
+  let from = (Engine.replay e Engine.Fresh flat a b).Engine.from in
+  let r = Engine.replay e ~log:true (Engine.Context from) flat a b in
+  let oa = r.Engine.a and ob = r.Engine.b in
+  let counters_a = uarch_only oa.Engine.counters in
+  let counters_b = uarch_only ob.Engine.counters in
+  let ra = Leakage_model.collect contract flat (Input.to_state a) in
+  let rb = Leakage_model.collect contract flat (Input.to_state b) in
   let reproduced = not (Utrace.equal oa.Engine.trace ob.Engine.trace) in
   let status = if reproduced then Reproduced else Not_reproduced in
   let ctrace = summarize_ctraces ra rb in

@@ -88,10 +88,11 @@ val explain :
   ?sim_config:Amulet_uarch.Config.t ->
   Violation_io.stored ->
   finding
-(** Rebuild the violation's executions: run input A fresh to obtain a
-    starting context, re-run both inputs from that exact context with
-    logging and live telemetry, collect both contract traces, classify,
-    and compute the divergence signature.
+(** Rebuild the violation's executions: a [Fresh] {!Engine.replay} gives
+    input A's starting context (files store no detection context yet),
+    then both inputs replay from that one [Context] with logging and live
+    telemetry; collect both contract traces, classify, and compute the
+    divergence signature.
 
     [sim_config], when given, fully overrides the defense's configuration
     (single-defense streams only).  [l1d_ways]/[mshrs] instead amplify
@@ -104,9 +105,8 @@ val of_violation : ?sim_config:Amulet_uarch.Config.t -> Violation.t -> finding
 val flip_candidates :
   Amulet_uarch.Config.t ->
   (string * mechanism_kind * string * Amulet_uarch.Config.t) list
-(** The single-flip variants {!bisect} tries, in order: the defense's
-    unpatched bug flags, then capacity and feature knobs.  Each is
-    (name, kind, description, flipped config). *)
+(** The (name, kind, description, flipped config) variants {!bisect}
+    tries, in order: unpatched bug flags, then capacity/feature knobs. *)
 
 val bisect :
   ?l1d_ways:int ->

@@ -14,10 +14,12 @@
     hex-dumped, 64 bytes per line).  {!render} is the one writer,
     {!parse_doc} the one reader and {!kind_of_file} the one sniff.
 
-    The original run's microarchitectural context is {e not} stored — on
-    reload, analyses revalidate the pair under fresh contexts, which
-    reproduces input-caused violations (and is exactly the check
-    {!Minimize.still_violates} performs). *)
+    This module only encodes and decodes; it runs nothing.  The original
+    run's microarchitectural context is {e not} stored, so every analysis
+    of a reloaded pair re-executes it through the engine's one replay
+    function from a fresh context (input A's, from a new program start),
+    never from the context it was detected under.  Storing that context,
+    so replays can start from it, is the next step. *)
 
 open Amulet_isa
 open Amulet_contracts
@@ -32,7 +34,7 @@ type stored = {
   signature : string option;
   identity : (int64 * int64 * int64) option;
       (* (ctrace_hash, trace_a_hash, trace_b_hash) captured at detection
-         time.  The validating context is not serialized, so re-execution
+         time.  The validating context is not serialized, so a fresh replay
          cannot re-derive the original traces; without this, a resumed
          campaign's violations would fingerprint differently from the
          uninterrupted run.  [None] only for files written before the key
@@ -254,35 +256,38 @@ let stored_of_sections ?(extra = fun _ -> false) (doc : section list) : stored =
       if not (List.mem name stored_names || extra name) then
         raise (Format_error ("unknown section: [" ^ name ^ "]")))
     doc;
+  (* decode in file order, so a file with several bad sections reports
+     the first (record fields would evaluate right to left) *)
   let meta = key_values (section doc "meta") in
-  let input label =
-    {
-      Input.regs = regs_of_lines (section doc (label ^ ".regs"));
-      mem = mem_of_lines (label ^ ".mem") (section doc (label ^ ".mem"));
-    }
+  let defense_name = require meta "defense" in
+  let contract_name = require meta "contract" in
+  let signature = Hashtbl.find_opt meta "signature" in
+  let identity =
+    Option.map
+      (fun s ->
+        match List.map Int64.of_string_opt (String.split_on_char ',' s) with
+        | [ Some c; Some a; Some b ] -> (c, a, b)
+        | _ -> bad "identity line" s)
+      (Hashtbl.find_opt meta "identity")
   in
-  {
-    defense_name = require meta "defense";
-    contract_name = require meta "contract";
-    program = program_of_lines (section doc "program");
-    input_a = input "input_a";
-    input_b = input "input_b";
-    signature = Hashtbl.find_opt meta "signature";
-    identity =
-      Option.map
-        (fun s ->
-          match List.map Int64.of_string_opt (String.split_on_char ',' s) with
-          | [ Some c; Some a; Some b ] -> (c, a, b)
-          | _ -> bad "identity line" s)
-        (Hashtbl.find_opt meta "identity");
-  }
+  let program = program_of_lines (section doc "program") in
+  let input label =
+    let regs = regs_of_lines (section doc (label ^ ".regs")) in
+    let mem = mem_of_lines (label ^ ".mem") (section doc (label ^ ".mem")) in
+    { Input.regs; mem }
+  in
+  let input_a = input "input_a" in
+  let input_b = input "input_b" in
+  { defense_name; contract_name; program; input_a; input_b; signature; identity }
 
 (** Parse the lines of a violation block as written by {!output}. *)
 let parse lines = stored_of_sections (parse_doc Violation lines)
 
-(** Load a violation file written by {!save}. *)
+(** Load a violation file written by {!save}; a decode error names the
+    file. *)
 let load path : stored =
-  parse (In_channel.with_open_text path In_channel.input_lines)
+  try parse (In_channel.with_open_text path In_channel.input_lines)
+  with Format_error msg -> raise (Format_error (path ^ ": " ^ msg))
 
 (* ------------------------------------------------------------------ *)
 (* Quarantine corpus                                                   *)
@@ -319,43 +324,3 @@ let save_quarantine ~dir ~seq ~(fault : Fault.t) ~defense_name ~contract_name
       output_string out
         (render Quarantine (("meta", meta) :: program_section program :: inputs)));
   path
-
-(* ------------------------------------------------------------------ *)
-(* Rehydration (journal resume)                                        *)
-(* ------------------------------------------------------------------ *)
-
-(** Rebuild a full {!Violation.t} from its stored form by re-executing both
-    inputs (the stored form omits traces and the microarchitectural
-    context).  Used when resuming a journaled campaign. *)
-let rehydrate ?sim_config (s : stored) : Violation.t =
-  let defense = resolve_defense s.defense_name in
-  let ex =
-    Engine.create ?sim_config ~mode:Executor.Opt defense (Stats.create ())
-  in
-  Engine.start_program ex;
-  let oa = Engine.run ex s.program s.input_a in
-  let ob = Engine.run ex s.program s.input_b in
-  (* re-executed traces serve analysis; identity comes from the stored
-     detection-time hashes so fingerprints survive the round-trip (the
-     fallback recomputation only applies to pre-identity files) *)
-  let ctrace_hash, trace_a_hash, trace_b_hash =
-    match s.identity with
-    | Some id -> id
-    | None -> (0L, Utrace.hash oa.Engine.trace, Utrace.hash ob.Engine.trace)
-  in
-  {
-    Violation.program = s.program;
-    program_text = Format.asprintf "%a" Program.pp_flat s.program;
-    input_a = s.input_a;
-    input_b = s.input_b;
-    trace_a = oa.Engine.trace;
-    trace_b = ob.Engine.trace;
-    context = oa.Engine.context;
-    ctrace_hash;
-    trace_a_hash;
-    trace_b_hash;
-    contract = resolve_contract defense s.contract_name;
-    defense_name = s.defense_name;
-    detection_seconds = 0.;
-    signature = s.signature;
-  }

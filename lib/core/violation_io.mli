@@ -6,8 +6,11 @@
     followed by [[name]] sections of raw lines.  {!render} is the one
     writer, {!parse_doc} the one reader and {!kind_of_file} the one sniff;
     violation files, triage PoCs, quarantine files and journals all go
-    through them.  The original microarchitectural context is not stored;
-    reloaded violations are revalidated under fresh contexts. *)
+    through them.  The module is a pure codec: it runs nothing.  The
+    original microarchitectural context is not stored, so analyses replay a
+    reloaded pair through the engine's one replay function from a fresh
+    context, not from the one it was detected under; storing the context
+    is the next step. *)
 
 open Amulet_isa
 
@@ -98,7 +101,8 @@ val parse : string list -> stored
     [Amulet_emu.Memory.page_size] bytes. *)
 
 val load : string -> stored
-(** Raises {!Format_error} on malformed input. *)
+(** Raises {!Format_error} on malformed input, its message prefixed with
+    the path. *)
 
 val mkdir_p : string -> unit
 
@@ -113,9 +117,3 @@ val save_quarantine :
   string
 (** Quarantine a misbehaving test case (program, offending input if known,
     classified fault) into [dir] for later triage; returns the path. *)
-
-val rehydrate : ?sim_config:Amulet_uarch.Config.t -> stored -> Violation.t
-(** Rebuild a full violation by re-executing both inputs (used when resuming
-    a journaled campaign; traces and context are re-derived for analysis,
-    while the identity hashes are restored from [identity] so resumed
-    campaigns fingerprint identically to uninterrupted ones). *)

@@ -210,18 +210,18 @@ let replay_rows (d : Defense.t) =
       let s = Violation_io.of_violation v in
       let hash t = Printf.sprintf "%016Lx" (Utrace.hash t) in
       out "sign" [ Analysis.class_name (fst (Analysis.sign v)) ];
-      let h = Violation_io.rehydrate s in
-      (* the rehydrated context, pinned by what a rerun from it yields *)
-      let eng = Engine.create ~mode:Executor.Opt d (Stats.create ()) in
-      let from_ctx input =
-        hash (Engine.run eng ~context:h.Violation.context h.Violation.program input).Engine.trace
+      let h = Campaign.rehydrate s in
+      (* the rehydrated context, pinned by what a replay from it yields *)
+      let r =
+        Engine.replay (Engine.analysis d) (Engine.Context h.Violation.context)
+          h.Violation.program s.Violation_io.input_a s.Violation_io.input_b
       in
       out "rehydrate"
         [
           hash h.Violation.trace_a;
           hash h.Violation.trace_b;
-          from_ctx s.Violation_io.input_a;
-          from_ctx s.Violation_io.input_b;
+          hash r.Engine.a.Engine.trace;
+          hash r.Engine.b.Engine.trace;
         ];
       let still cfg =
         string_of_bool

@@ -249,13 +249,16 @@ let test_golden_journal () =
   checks "save (load x) = x" (read path) (saved (Journal.save (Journal.load path)))
 
 (* A memory image must be whole sandbox pages: a 96-byte image is a
-   Format_error naming its section and size, not an assertion failure
-   when a replay builds its memory. *)
+   Format_error naming the file, its section and size, not an assertion
+   failure when a replay builds its memory.  Both images of the fixture
+   are short; sections decode in file order, so A's is the one named. *)
 let test_short_memory_image_rejected () =
   match Violation_io.load "golden/short_mem.amulet" with
   | exception Violation_io.Format_error msg ->
-      checkb ("names the section and size: " ^ msg) true
-        (contains msg ".mem]" && contains msg "96-byte")
+      checkb ("names the file, section and size: " ^ msg) true
+        (contains msg "golden/short_mem.amulet: "
+        && contains msg "[input_a.mem]"
+        && contains msg "96-byte")
   | _ -> Alcotest.fail "a 96-byte memory image loaded"
 
 (* A malformed field value (unknown register, non-hex memory, bad branch
