@@ -628,6 +628,15 @@ let sweep_cmd =
 (* reproduce                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Print the finding of a replayed violation file as a strict one-element
+   view of the triage schema (the report either holds the finding's
+   singleton cluster or records it as dead).  Exit 1 when it reproduces,
+   2 when the stored artifact no longer demonstrates anything. *)
+let report_finding ~origin json (f : Triage.finding) =
+  if json then print_endline (Triage.report_to_json (Triage.singleton_report ~origin f))
+  else Format.printf "%a" Triage.pp_finding f;
+  if f.Triage.status = Triage.Reproduced then Output.exit_violation else Output.exit_fault
+
 let reproduce_cmd =
   let name_t =
     Arg.(
@@ -682,13 +691,7 @@ let reproduce_cmd =
     | `Not_reproduced | `Diff_mismatch _ -> Output.exit_fault
   in
   let replay_violation path json =
-    let f = Triage.explain (Violation_io.load path) in
-    if json then
-      print_endline (Triage.report_to_json (Triage.singleton_report ~origin:path f))
-    else Format.printf "%a" Triage.pp_finding f;
-    match f.Triage.status with
-    | Triage.Reproduced -> Output.exit_violation
-    | Triage.Not_reproduced -> Output.exit_fault
+    report_finding ~origin:path json (Triage.explain (Violation_io.load path))
   in
   let run name seed json =
    Output.guarded @@ fun () ->
@@ -806,16 +809,8 @@ let explain_cmd =
     let stored = Violation_io.load file in
     (* bisect and shrink leave a not-reproduced finding untouched *)
     let f = Triage.bisect ?l1d_ways ?mshrs (Triage.explain ?l1d_ways ?mshrs stored) in
-    let f = if do_minimize then Triage.shrink ?l1d_ways ?mshrs f else f in
-    (* a strict one-element view of the triage schema: the report either
-       holds this finding's singleton cluster or records it as dead *)
-    let report = Triage.singleton_report ~origin:file f in
-    if json then print_endline (Triage.report_to_json report)
-    else Format.printf "%a" Triage.pp_finding f;
-    (* 1: the violation reproduces; 2: an explicit not_reproduced outcome —
-       the stored artifact no longer demonstrates anything *)
-    if f.Triage.status = Triage.Reproduced then Output.exit_violation
-    else Output.exit_fault
+    report_finding ~origin:file json
+      (if do_minimize then Triage.shrink ?l1d_ways ?mshrs f else f)
   in
   let term = Term.(const run $ file $ json_t $ ways $ mshrs $ do_minimize) in
   Cmd.v

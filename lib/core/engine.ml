@@ -284,7 +284,13 @@ type from = Fresh | Context of Simulator.context
 type replay = { a : outcome; b : outcome; from : Simulator.context }
 
 let replay t ?log from flat a b =
-  let context = match from with Context c -> Some c | Fresh -> start_program t; None in
+  let context =
+    match from with
+    | Context c -> Some c
+    | Fresh ->
+        start_program t;
+        None
+  in
   let oa = run t ?context ?log flat a in
   let ob = run t ?context ?log flat b in
   { a = oa; b = ob; from = Option.value context ~default:oa.context }
