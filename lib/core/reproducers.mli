@@ -44,8 +44,7 @@ val hunt :
   ?sim_config:Amulet_uarch.Config.t ->
   t ->
   Violation.t option
-(** Fuzz the crafted program against its defense (default config: its
-    {!amplification});
-    falls back to a random campaign filtered by the expected signature when
-    hand-crafted timing does not line up.  The returned violation has its
-    signature filled in. *)
+(** Fuzz the crafted program against its defense (under [sim_config], by
+    default its {!amplification}); falls back to a random campaign filtered
+    by the expected signature when hand-crafted timing does not line up.
+    The returned violation has its signature filled in. *)
