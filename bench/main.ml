@@ -857,6 +857,46 @@ let throughput () =
       "decode amortization: %d decodes per preset, minor words per input \
        within %.0f@."
       decodes_expected decode_words_gate;
+  (* input materialization: Input.generate and Input.mutate_free draw
+     every sandbox byte through Rng's bulk fills, which keep the
+     splitmix64 counter unboxed, so an input costs a fixed handful of
+     minor words whatever its size.  Gated on that deterministic counter:
+     one boxed draw per byte costs about 24.8k words on one page and
+     3.1M on 128 (stt's sandbox).  The taint has no relevant word, so
+     mutate_free redraws the whole sandbox. *)
+  let input_words_gate = 1_024. in
+  let input_rows =
+    List.concat_map
+      (fun pages ->
+        let rng = Rng.create ~seed:2027 in
+        let base = Input.generate rng ~pages in
+        let taint = Amulet_emu.Taint.create (Input.to_state base).Amulet_emu.State.mem in
+        let words_per_call f =
+          let reps = 8 in
+          let w0 = Gc.minor_words () in
+          for _ = 1 to reps do ignore (Sys.opaque_identity (f ())) done;
+          (Gc.minor_words () -. w0) /. float_of_int reps
+        in
+        [
+          ("generate", pages, words_per_call (fun () -> Input.generate rng ~pages));
+          ( "mutate_free", pages,
+            words_per_call (fun () -> Input.mutate_free rng taint base) );
+        ])
+      [ 1; 128 ]
+  in
+  let inputs_bounded =
+    List.for_all (fun (_, _, w) -> w <= input_words_gate) input_rows
+  in
+  Format.printf "@.input materialization (minor words per call):@.";
+  List.iter
+    (fun (op, pages, w) -> Format.printf "%-12s %4d pages %10.0f@." op pages w)
+    input_rows;
+  if inputs_bounded then
+    Format.printf "input materialization: within %.0f minor words per call@."
+      input_words_gate
+  else
+    Format.printf "ERROR: input materialization above the %.0f minor-word gate@."
+      input_words_gate;
   let snapshot_us = time_us (fun () -> ignore (Amulet_uarch.Simulator.snapshot sim)) in
   let snap = Amulet_uarch.Simulator.snapshot sim in
   let restore_us = time_us (fun () -> Amulet_uarch.Simulator.restore sim snap) in
@@ -889,6 +929,14 @@ let throughput () =
         ("inputs_per_sec", Json.Float ips);
         ("sims_created", Json.Int st.Engine.sims_created);
         ("snapshot_restores", Json.Int st.Engine.snapshot_restores);
+      ]
+  in
+  let input_row (op, pages, words) =
+    Json.Obj
+      [
+        ("op", Json.Str op);
+        ("pages", Json.Int pages);
+        ("minor_words_per_call", Json.Float words);
       ]
   in
   let decode_row (name, t, decodes, words) =
@@ -937,10 +985,20 @@ let throughput () =
                   ("minor_words_bounded", Json.Bool decode_words_bounded);
                   ("ok", Json.Bool decode_ok);
                 ] );
+            ( "input_materialization",
+              Json.Obj
+                [
+                  ("rows", Json.List (List.map input_row input_rows));
+                  ("minor_words_gate", Json.Float input_words_gate);
+                  ("inputs_bounded", Json.Bool inputs_bounded);
+                ] );
             ("metrics", Amulet_obs.Obs.Snapshot.json metrics_snapshot);
           ]));
-  if not (identical && identical_opt && telemetry_invisible && decode_ok) then
-    exit 1
+  if
+    not
+      (identical && identical_opt && telemetry_invisible && decode_ok
+     && inputs_bounded)
+  then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Sweep: the sharded defense matrix, 1 domain vs N                    *)

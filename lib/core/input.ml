@@ -25,7 +25,8 @@ let random_reg rng ~mem_bytes =
 let generate rng ~pages =
   let mem_bytes = pages * Memory.page_size in
   let regs = Array.init Reg.count (fun _ -> random_reg rng ~mem_bytes) in
-  let mem = Bytes.init mem_bytes (fun _ -> Char.chr (Rng.int rng 256)) in
+  let mem = Bytes.create mem_bytes in
+  Rng.fill_bytes rng mem 0 mem_bytes;
   { regs; mem }
 
 (** Materialize architectural state for this input, pinning the sandbox base
@@ -34,7 +35,7 @@ let to_state (t : t) : State.t =
   let st = State.create ~pages:(pages t) () in
   Array.iteri (fun i v -> State.write_reg st (Reg.of_index i) v) t.regs;
   State.write_reg st Reg.sandbox_base (Int64.of_int (Memory.base st.State.mem));
-  Memory.load_blob st.State.mem (Bytes.to_string t.mem);
+  Memory.load_blob st.State.mem t.mem;
   st
 
 (* ------------------------------------------------------------------ *)
@@ -54,23 +55,21 @@ let mutate_free rng (taint : Taint.t) (t : t) =
       if not (Taint.is_relevant_reg taint r) && not (Reg.equal r Reg.sandbox_base)
       then regs.(Reg.index r) <- random_reg rng ~mem_bytes)
     Reg.all;
-  let words = mem_bytes / 8 in
-  for k = 0 to words - 1 do
-    if not (Taint.is_relevant_word taint k) then
-      for b = 0 to 7 do
-        Bytes.set mem ((k * 8) + b) (Char.chr (Rng.int rng 256))
-      done
-  done;
+  Rng.fill_words rng mem ~keep:(Taint.is_relevant_word taint);
   { regs; mem }
 
 let equal a b = Array.for_all2 Int64.equal a.regs b.regs && Bytes.equal a.mem b.mem
 
 (** FNV digest of the input (test-case identification in reports). *)
 let hash t =
+  let prime = 0x100000001b3L in
   let h = ref 0xcbf29ce484222325L in
-  let mix v = h := Int64.mul (Int64.logxor !h v) 0x100000001b3L in
-  Array.iter mix t.regs;
-  Bytes.iter (fun c -> mix (Int64.of_int (Char.code c))) t.mem;
+  for i = 0 to Array.length t.regs - 1 do
+    h := Int64.mul (Int64.logxor !h t.regs.(i)) prime
+  done;
+  for i = 0 to Bytes.length t.mem - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get t.mem i)))) prime
+  done;
   !h
 
 let pp fmt t =

@@ -116,14 +116,12 @@ let clear_journal m =
 (* Bulk operations                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let fill_zero m = Bytes.fill m.data 0 (size m) '\000'
-
 (** Load raw input bytes starting at the sandbox base (input shorter than the
     sandbox leaves the tail zeroed). *)
 let load_blob m blob =
-  fill_zero m;
-  let n = min (String.length blob) (size m) in
-  Bytes.blit_string blob 0 m.data 0 n
+  let n = min (Bytes.length blob) (size m) in
+  Bytes.blit blob 0 m.data 0 n;
+  Bytes.fill m.data n (size m - n) '\000'
 
 (** Copy [src]'s contents into [dst] (same geometry required). *)
 let blit ~src ~dst =

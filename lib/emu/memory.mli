@@ -49,10 +49,9 @@ val clear_journal : t -> unit
 
 (** {1 Bulk operations} *)
 
-val fill_zero : t -> unit
-
-val load_blob : t -> string -> unit
-(** Zero the sandbox, then copy the blob in from the base. *)
+val load_blob : t -> Bytes.t -> unit
+(** Copy the blob in from the base and zero the rest of the sandbox; a
+    blob longer than the sandbox is truncated. *)
 
 val blit : src:t -> dst:t -> unit
 (** Copy contents between same-geometry sandboxes. *)

@@ -30,6 +30,57 @@ let test_rng_bounds () =
     checkb "in range" true (v >= 0 && v < 17)
   done
 
+(* The per-byte draw loop the bulk fills replace; kept here only as the
+   reference they must match draw for draw. *)
+let ref_fill rng b off len =
+  for i = off to off + len - 1 do
+    Bytes.set b i (Char.chr (Rng.int rng 256))
+  done
+
+let ref_fill_words rng b ~keep =
+  for k = 0 to (Bytes.length b / 8) - 1 do
+    if not (keep k) then ref_fill rng b (k * 8) 8
+  done
+
+(* same bytes written, and the same state left for the next draw *)
+let same_stream ~fill ~reference seed b =
+  let a = Rng.create ~seed and r = Rng.create ~seed in
+  let ba = Bytes.copy b and br = Bytes.copy b in
+  fill a ba;
+  reference r br;
+  Bytes.equal ba br && Int64.equal (Rng.next64 a) (Rng.next64 r)
+
+let rng_fill_bytes_prop =
+  QCheck2.Test.make ~name:"fill_bytes = per-byte draws" ~count:300
+    QCheck2.Gen.(quad (int_bound 10_000_000) (int_bound 200) nat nat)
+    (fun (seed, n, o, l) ->
+      let off = o mod (n + 1) in
+      let len = l mod (n - off + 1) in
+      same_stream seed (Bytes.make n '\xAA')
+        ~fill:(fun rng b -> Rng.fill_bytes rng b off len)
+        ~reference:(fun rng b -> ref_fill rng b off len))
+
+let rng_fill_words_prop =
+  QCheck2.Test.make ~name:"fill_words = per-byte draws on free words" ~count:300
+    QCheck2.Gen.(triple (int_bound 10_000_000) (list_size (int_bound 40) bool)
+                   (int_bound 7))
+    (fun (seed, mask, tail) ->
+      let mask = Array.of_list mask in
+      let keep k = mask.(k) in
+      same_stream seed (Bytes.make ((Array.length mask * 8) + tail) '\x55')
+        ~fill:(fun rng b -> Rng.fill_words rng b ~keep)
+        ~reference:(fun rng b -> ref_fill_words rng b ~keep))
+
+let test_rng_fill_bounds () =
+  let rng = Rng.create ~seed:3 in
+  let b = Bytes.create 16 in
+  List.iter
+    (fun (off, len) ->
+      match Rng.fill_bytes rng b off len with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "fill_bytes accepted off=%d len=%d" off len)
+    [ (-1, 1); (0, -1); (0, 17); (16, 1); (max_int, 1) ]
+
 let test_rng_weighted () =
   let rng = Rng.create ~seed:7 in
   let counts = Hashtbl.create 3 in
@@ -59,8 +110,65 @@ let test_input_hash_sensitivity () =
   let a = Input.generate rng ~pages:1 in
   let b = Input.generate rng ~pages:1 in
   checkb "different inputs different hash" false (Int64.equal (Input.hash a) (Input.hash b));
+  (* the FNV digest names inputs in reports: its value is pinned *)
+  Alcotest.check Alcotest.int64 "pinned hash" 0xcd14d9855b085fb4L (Input.hash a);
   checkb "equal to itself" true (Input.equal a a);
   checkb "not equal to other" false (Input.equal a b)
+
+(* Input.generate and Input.mutate_free against the per-byte reference,
+   on the smallest sandbox and on stt's 128 pages.  [ref_reg] is
+   [Input]'s register draw, which the bulk fills leave as it is. *)
+let ref_reg rng ~mem_bytes =
+  let low = Int64.logand (Rng.next64 rng) (Int64.of_int (mem_bytes - 1)) in
+  if Rng.bool rng ~p:0.25 then Int64.logor low (Int64.shift_left (Rng.next64 rng) 32)
+  else low
+
+let test_input_bulk_draws_match_reference () =
+  let open Amulet_contracts in
+  List.iter
+    (fun pages ->
+      let mem_bytes = pages * Amulet_emu.Memory.page_size in
+      let a = Rng.create ~seed:pages and r = Rng.create ~seed:pages in
+      let input = Input.generate a ~pages in
+      let regs = Array.init Reg.count (fun _ -> ref_reg r ~mem_bytes) in
+      let mem = Bytes.create mem_bytes in
+      ref_fill r mem 0 mem_bytes;
+      checkb "generate: same input" true (Input.equal input { Input.regs; mem });
+      checkb "generate: same next draw" true (Int64.equal (Rng.next64 a) (Rng.next64 r));
+      (* a taint with both relevant and free words: ARCH-SEQ pins loaded
+         data as well as addresses *)
+      let rec tainted seed =
+        let g = Rng.create ~seed in
+        let flat = Generator.generate_flat g in
+        let base = Input.generate g ~pages in
+        let res =
+          Leakage_model.collect ~collect_taint:true Contract.arch_seq flat
+            (Input.to_state base)
+        in
+        match res.Leakage_model.fault, res.Leakage_model.taint with
+        | None, Some t
+          when List.exists
+                 (fun k -> Amulet_emu.Taint.is_relevant_word t k)
+                 (List.init (mem_bytes / 8) Fun.id) ->
+            (base, t)
+        | _ -> tainted (seed + 1)
+      in
+      let base, taint = tainted 1 in
+      let a = Rng.create ~seed:99 and r = Rng.create ~seed:99 in
+      let mutant = Input.mutate_free a taint base in
+      let regs = Array.copy base.Input.regs in
+      List.iter
+        (fun reg ->
+          if not (Amulet_emu.Taint.is_relevant_reg taint reg)
+             && not (Reg.equal reg Reg.sandbox_base)
+          then regs.(Reg.index reg) <- ref_reg r ~mem_bytes)
+        Reg.all;
+      let mem = Bytes.copy base.Input.mem in
+      ref_fill_words r mem ~keep:(Amulet_emu.Taint.is_relevant_word taint);
+      checkb "mutate_free: same input" true (Input.equal mutant { Input.regs; mem });
+      checkb "mutate_free: same next draw" true
+        (Int64.equal (Rng.next64 a) (Rng.next64 r)))
+    [ 1; 128 ]
 
 (* ------------------------------------------------------------------ *)
 (* Generator                                                           *)
@@ -337,11 +445,16 @@ let () =
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "weighted" `Quick test_rng_weighted;
+          Alcotest.test_case "fill bounds" `Quick test_rng_fill_bounds;
+          QCheck_alcotest.to_alcotest rng_fill_bytes_prop;
+          QCheck_alcotest.to_alcotest rng_fill_words_prop;
         ] );
       ( "inputs",
         [
           Alcotest.test_case "to_state pins base" `Quick test_input_to_state_pins_base;
           Alcotest.test_case "hash sensitivity" `Quick test_input_hash_sensitivity;
+          Alcotest.test_case "bulk draws match reference" `Quick
+            test_input_bulk_draws_match_reference;
         ] );
       ( "generator",
         [

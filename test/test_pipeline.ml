@@ -16,7 +16,8 @@ let sim_of ?(cfg = Config.default) ?(pages = 1) () =
   Simulator.create ~boot_insts:0 ~pages cfg
 
 (* run [flat] from [state] on both the emulator and the pipeline; compare
-   final architectural state *)
+   final architectural state.  A fault agrees only with a fault: one that
+   only one side hits (a pipeline deadlock, say) is a difference. *)
 let arch_equivalent ?(cfg = Config.default) ?(pages = 1) flat (mk_state : unit -> State.t) =
   let st_e = mk_state () in
   let emu = Emulator.execute flat st_e in
@@ -24,7 +25,8 @@ let arch_equivalent ?(cfg = Config.default) ?(pages = 1) flat (mk_state : unit -
   Simulator.load_state sim (mk_state ());
   let stats = Simulator.run sim flat in
   match Emulator.fault emu, stats.Simulator.fault with
-  | Some _, _ | _, Some _ -> `Fault
+  | Some _, Some _ -> `Fault
+  | Some _, None | None, Some _ -> `Different
   | None, None ->
       let st_p = Simulator.arch_state sim in
       if
