@@ -858,19 +858,22 @@ let throughput () =
        within %.0f@."
       decodes_expected decode_words_gate;
   (* input materialization: Input.generate and Input.mutate_free draw
-     every sandbox byte through Rng's bulk fills, which keep the
-     splitmix64 counter unboxed, so an input costs a fixed handful of
-     minor words whatever its size.  Gated on that deterministic counter:
-     one boxed draw per byte costs about 24.8k words on one page and
-     3.1M on 128 (stt's sandbox).  The taint has no relevant word, so
-     mutate_free redraws the whole sandbox. *)
+     sandbox bytes through Rng.fill_bytes, which keeps the splitmix64
+     counter unboxed, so an input costs a fixed handful of minor words
+     whatever its size.  Gated on that deterministic counter: one boxed
+     draw per byte costs about 24.8k words on one page and 3.1M on 128
+     (stt's sandbox).  The taint has no relevant word, so mutate_free
+     redraws the whole sandbox as one free run.  Taint.create rides the
+     same gate: a set per sandbox word cost 327,772 words on 128 pages,
+     the shared own-atom label a few dozen. *)
   let input_words_gate = 1_024. in
   let input_rows =
     List.concat_map
       (fun pages ->
         let rng = Rng.create ~seed:2027 in
         let base = Input.generate rng ~pages in
-        let taint = Amulet_emu.Taint.create (Input.to_state base).Amulet_emu.State.mem in
+        let mem = (Input.to_state base).Amulet_emu.State.mem in
+        let taint = Amulet_emu.Taint.create mem in
         let words_per_call f =
           let reps = 8 in
           let w0 = Gc.minor_words () in
@@ -881,6 +884,7 @@ let throughput () =
           ("generate", pages, words_per_call (fun () -> Input.generate rng ~pages));
           ( "mutate_free", pages,
             words_per_call (fun () -> Input.mutate_free rng taint base) );
+          ("taint_create", pages, words_per_call (fun () -> Amulet_emu.Taint.create mem));
         ])
       [ 1; 128 ]
   in

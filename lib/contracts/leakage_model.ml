@@ -17,7 +17,6 @@ type result = {
   arch_steps : int;  (** instructions retired on the architectural path *)
   spec_steps : int;  (** instructions explored on mispredicted paths *)
   fault : string option;
-  final_state_hash : int64;
 }
 
 (** Collect the contract trace of [flat] starting from [state] (which the
@@ -158,5 +157,4 @@ let collect ?(collect_taint = false) ?(max_steps = 10_000) ?decoded
     arch_steps = !total - !spec_steps;
     spec_steps = !spec_steps;
     fault;
-    final_state_hash = State.hash state;
   }

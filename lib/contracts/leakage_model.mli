@@ -13,7 +13,6 @@ type result = {
   arch_steps : int;
   spec_steps : int;  (** instructions explored on mispredicted paths *)
   fault : string option;
-  final_state_hash : int64;
 }
 
 val collect :

@@ -29,13 +29,19 @@ let generate rng ~pages =
   Rng.fill_bytes rng mem 0 mem_bytes;
   { regs; mem }
 
+(** Overwrite [st] with this input: registers, the pinned sandbox base,
+    initial flags and the whole sandbox, in one copy. *)
+let load (st : State.t) (t : t) =
+  Memory.load_blob st.State.mem t.mem;
+  Array.blit t.regs 0 st.State.regs 0 Reg.count;
+  State.write_reg st Reg.sandbox_base (Int64.of_int (Memory.base st.State.mem));
+  st.State.flags <- Flags.initial
+
 (** Materialize architectural state for this input, pinning the sandbox base
     register. *)
 let to_state (t : t) : State.t =
   let st = State.create ~pages:(pages t) () in
-  Array.iteri (fun i v -> State.write_reg st (Reg.of_index i) v) t.regs;
-  State.write_reg st Reg.sandbox_base (Int64.of_int (Memory.base st.State.mem));
-  Memory.load_blob st.State.mem t.mem;
+  load st t;
   st
 
 (* ------------------------------------------------------------------ *)
@@ -55,7 +61,15 @@ let mutate_free rng (taint : Taint.t) (t : t) =
       if not (Taint.is_relevant_reg taint r) && not (Reg.equal r Reg.sandbox_base)
       then regs.(Reg.index r) <- random_reg rng ~mem_bytes)
     Reg.all;
-  Rng.fill_words rng mem ~keep:(Taint.is_relevant_word taint);
+  (* redraw each run of free words between the relevant ones, ascending:
+     the same draws as a per-word walk of the whole sandbox *)
+  let fill_run first stop = Rng.fill_bytes rng mem (first * 8) ((stop - first) * 8) in
+  let next =
+    List.fold_left
+      (fun first k -> fill_run first k; k + 1)
+      0 (Taint.relevant_words taint)
+  in
+  fill_run next (mem_bytes / 8);
   { regs; mem }
 
 let equal a b = Array.for_all2 Int64.equal a.regs b.regs && Bytes.equal a.mem b.mem

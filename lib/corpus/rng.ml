@@ -14,7 +14,7 @@ let create ~seed = { state = Int64.of_int seed }
 let split t = { state = Int64.add t.state gamma }
 
 (* The splitmix64 output function of one state.  Inlined everywhere so
-   the bulk loops below keep their state unboxed. *)
+   the bulk loop below keeps its state unboxed. *)
 let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
@@ -36,8 +36,8 @@ let int t bound =
   v mod bound
 
 (* Splitmix64 is counter-based: after k draws the state is s0 + k*gamma.
-   The bulk fills keep that counter in a local (unboxed) int64 and store
-   it back once, so they allocate nothing per byte. *)
+   The bulk fill keeps that counter in a local (unboxed) int64 and stores
+   it back once, so it allocates nothing per byte. *)
 
 let fill_bytes t b off len =
   if off < 0 || len < 0 || off > Bytes.length b - len then
@@ -46,17 +46,6 @@ let fill_bytes t b off len =
   for i = off to off + len - 1 do
     s := Int64.add !s gamma;
     Bytes.unsafe_set b i (byte !s)
-  done;
-  t.state <- !s
-
-let fill_words t b ~keep =
-  let s = ref t.state in
-  for k = 0 to (Bytes.length b / 8) - 1 do
-    if not (keep k) then
-      for i = k * 8 to (k * 8) + 7 do
-        s := Int64.add !s gamma;
-        Bytes.unsafe_set b i (byte !s)
-      done
   done;
   t.state <- !s
 

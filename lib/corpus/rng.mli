@@ -13,20 +13,16 @@ val int : t -> int -> int
 
 (** {2 Bulk byte draws}
 
-    Stream contract: each bulk function makes exactly the draws of the
-    equivalent per-byte loop of [Char.chr (int t 256)], in ascending byte
-    order.  It writes the same bytes and leaves [t] in the same state, so
-    every later draw is unchanged too.  Neither allocates per byte. *)
+    Stream contract: [fill_bytes] makes exactly the draws of the per-byte
+    loop of [Char.chr (int t 256)], in ascending byte order.  It writes the
+    same bytes and leaves [t] in the same state, so every later draw is
+    unchanged too, and it allocates nothing per byte.  A masked redraw
+    (input boosting's free words) is one call per free run, in ascending
+    order: skipped bytes cost no draw. *)
 
 val fill_bytes : t -> Bytes.t -> int -> int -> unit
 (** [fill_bytes t b off len] sets [b.[off .. off+len-1]], one draw per
     byte.  Raises [Invalid_argument] if the range is not within [b]. *)
-
-val fill_words : t -> Bytes.t -> keep:(int -> bool) -> unit
-(** [fill_words t b ~keep] redraws the 8 bytes of every whole 8-byte word
-    [k] of [b] for which [keep k] is false, in ascending [k]; words where
-    it is true, and a trailing partial word, are left untouched and cost no
-    draw. *)
 
 val bool : t -> p:float -> bool
 val choose : t -> 'a list -> 'a

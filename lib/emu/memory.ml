@@ -116,12 +116,13 @@ let clear_journal m =
 (* Bulk operations                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(** Load raw input bytes starting at the sandbox base (input shorter than the
-    sandbox leaves the tail zeroed). *)
+(** Load raw input bytes filling the whole sandbox. *)
 let load_blob m blob =
-  let n = min (Bytes.length blob) (size m) in
-  Bytes.blit blob 0 m.data 0 n;
-  Bytes.fill m.data n (size m - n) '\000'
+  if Bytes.length blob <> size m then
+    invalid_arg
+      (Printf.sprintf "Memory.load_blob: %d bytes into a %d-byte sandbox"
+         (Bytes.length blob) (size m));
+  Bytes.blit blob 0 m.data 0 (size m)
 
 (** Copy [src]'s contents into [dst] (same geometry required). *)
 let blit ~src ~dst =

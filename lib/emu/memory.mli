@@ -50,8 +50,8 @@ val clear_journal : t -> unit
 (** {1 Bulk operations} *)
 
 val load_blob : t -> Bytes.t -> unit
-(** Copy the blob in from the base and zero the rest of the sandbox; a
-    blob longer than the sandbox is truncated. *)
+(** Copy a sandbox-sized blob in.  Raises [Invalid_argument] if its length
+    is not the sandbox size. *)
 
 val blit : src:t -> dst:t -> unit
 (** Copy contents between same-geometry sandboxes. *)

@@ -8,19 +8,20 @@
     branch condition, or — for value-exposing contracts — loaded data) are
     {e relevant}.  Randomizing the non-relevant atoms then provably preserves
     the contract trace (the tracking is conservative), while changing the
-    speculative behaviour the microarchitectural trace depends on. *)
+    speculative behaviour the microarchitectural trace depends on.
+
+    Atom ids: register [r] is [Reg.index r]; sandbox word [k] is
+    [Reg.count + k]. *)
 
 open Amulet_isa
 module Atom_set = Set.Make (Int)
 
-(** Input atoms. *)
-type atom = Areg of Reg.t | Aword of int  (** sandbox word index *)
-
-let atom_of_reg r = Reg.index r
 let atom_of_word k = Reg.count + k
 
-let classify_atom id =
-  if id < Reg.count then Areg (Reg.of_index id) else Aword (id - Reg.count)
+(* Stands for "this word's own atom" in [word_taint] until a step reads or
+   weakly updates the word, so [create] costs no set per sandbox word.
+   Compared physically; it never leaves [word_taint]. *)
+let own_atom = Atom_set.singleton (-1)
 
 type t = {
   reg_taint : Atom_set.t array;
@@ -35,12 +36,16 @@ let create (mem : Memory.t) =
   let words = Memory.words mem in
   {
     reg_taint = Array.init Reg.count (fun i -> Atom_set.singleton i);
-    word_taint = Array.init words (fun k -> Atom_set.singleton (atom_of_word k));
+    word_taint = Array.make words own_atom;
     flags_taint = Atom_set.empty;
     relevant = Atom_set.empty;
     mem_base = Memory.base mem;
     mem_words = words;
   }
+
+let word_taint t k =
+  let s = t.word_taint.(k) in
+  if s == own_atom then Atom_set.singleton (atom_of_word k) else s
 
 let union_list sets = List.fold_left Atom_set.union Atom_set.empty sets
 
@@ -59,7 +64,7 @@ let touched_words t addr width =
   if addr < t.mem_base then [] else collect first []
 
 let word_taints t addr width =
-  union_list (List.map (fun k -> t.word_taint.(k)) (touched_words t addr width))
+  union_list (List.map (word_taint t) (touched_words t addr width))
 
 (** Propagate taint across one instruction.  [request] is the memory access
     the instruction is about to perform (resolved with pre-execution register
@@ -108,34 +113,27 @@ let step t ~(inst : Inst.t) ~request ~observe_values =
           let fully_covered = addr <= word_start && word_start + 8 <= store_end in
           t.word_taint.(k) <-
             (if fully_covered then data_in
-             else Atom_set.union t.word_taint.(k) data_in))
+             else Atom_set.union (word_taint t k) data_in))
         (touched_words t addr width)
   | Some (_, _, `Load) | None -> ());
   (* control flow is part of every contract's observation clause *)
   if Inst.is_cond_branch inst then
     t.relevant <- Atom_set.union t.relevant t.flags_taint
 
-let relevant t = t.relevant
-
 (** Mark every register atom contract-relevant (used for contracts whose
     observation clause exposes the initial register file, e.g. ARCH-SEQ):
     boosting must then mutate only memory. *)
 let mark_all_regs_relevant t =
-  List.iteri
-    (fun i _ -> if i < Reg.count then t.relevant <- Atom_set.add i t.relevant)
-    Reg.all
+  for i = 0 to Reg.count - 1 do
+    t.relevant <- Atom_set.add i t.relevant
+  done
 
-let is_relevant_reg t r = Atom_set.mem (atom_of_reg r) t.relevant
+let is_relevant_reg t r = Atom_set.mem (Reg.index r) t.relevant
 let is_relevant_word t k = Atom_set.mem (atom_of_word k) t.relevant
 
-(** All atoms that are safe to randomize (the complement of the relevant
-    set), as a list. *)
-let free_atoms t =
-  let acc = ref [] in
-  for k = t.mem_words - 1 downto 0 do
-    if not (is_relevant_word t k) then acc := Aword k :: !acc
-  done;
-  List.iter
-    (fun r -> if not (is_relevant_reg t r) then acc := Areg r :: !acc)
-    (List.filteri (fun i _ -> i < Reg.count) Reg.all);
-  !acc
+(* Word atoms follow every register atom, so they are the tail of the
+   ordered relevant set. *)
+let relevant_words t =
+  Atom_set.to_seq_from Reg.count t.relevant
+  |> Seq.map (fun id -> id - Reg.count)
+  |> List.of_seq

@@ -7,17 +7,12 @@
 
 open Amulet_isa
 
-module Atom_set : Set.S with type elt = int
-
-type atom = Areg of Reg.t | Aword of int
-
-val atom_of_reg : Reg.t -> int
-val atom_of_word : int -> int
-val classify_atom : int -> atom
-
 type t
 
 val create : Memory.t -> t
+(** Every atom starts labelled with itself.  The cost does not grow with
+    the sandbox beyond one shared array slot per word: a word's own label
+    is built only when a step reads or weakly updates it. *)
 
 val step :
   t ->
@@ -31,8 +26,6 @@ val step :
     cover a word take a strong update (sound because the store's address
     atoms are pinned as relevant). *)
 
-val relevant : t -> Atom_set.t
-
 val mark_all_regs_relevant : t -> unit
 (** For contracts exposing the initial register file (ARCH-SEQ): boosting
     must then mutate only memory. *)
@@ -40,5 +33,7 @@ val mark_all_regs_relevant : t -> unit
 val is_relevant_reg : t -> Reg.t -> bool
 val is_relevant_word : t -> int -> bool
 
-val free_atoms : t -> atom list
-(** Atoms safe to randomize (complement of the relevant set). *)
+val relevant_words : t -> int list
+(** The relevant sandbox word indices, ascending: exactly the [k] for
+    which [is_relevant_word t k] holds.  Its length follows the words the
+    program reached, not the sandbox size. *)

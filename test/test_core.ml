@@ -60,17 +60,6 @@ let rng_fill_bytes_prop =
         ~fill:(fun rng b -> Rng.fill_bytes rng b off len)
         ~reference:(fun rng b -> ref_fill rng b off len))
 
-let rng_fill_words_prop =
-  QCheck2.Test.make ~name:"fill_words = per-byte draws on free words" ~count:300
-    QCheck2.Gen.(triple (int_bound 10_000_000) (list_size (int_bound 40) bool)
-                   (int_bound 7))
-    (fun (seed, mask, tail) ->
-      let mask = Array.of_list mask in
-      let keep k = mask.(k) in
-      same_stream seed (Bytes.make ((Array.length mask * 8) + tail) '\x55')
-        ~fill:(fun rng b -> Rng.fill_words rng b ~keep)
-        ~reference:(fun rng b -> ref_fill_words rng b ~keep))
-
 let test_rng_fill_bounds () =
   let rng = Rng.create ~seed:3 in
   let b = Bytes.create 16 in
@@ -105,6 +94,13 @@ let test_input_to_state_pins_base () =
     (Amulet_emu.State.read_reg st Reg.sandbox_base);
   checki "pages" 2 (Input.pages i)
 
+let test_input_load_size_mismatch () =
+  let small = Input.generate (Rng.create ~seed:1) ~pages:1 in
+  let st = Amulet_emu.State.create ~pages:128 () in
+  match Input.load st small with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a 1-page input loaded into a 128-page state"
+
 let test_input_hash_sensitivity () =
   let rng = Rng.create ~seed:1 in
   let a = Input.generate rng ~pages:1 in
@@ -123,11 +119,42 @@ let ref_reg rng ~mem_bytes =
   if Rng.bool rng ~p:0.25 then Int64.logor low (Int64.shift_left (Rng.next64 rng) 32)
   else low
 
+(* A taint whose relevant words are exactly [words]: one observed 8-byte
+   load of each, as ARCH-SEQ records it. *)
+let taint_of_words mem words =
+  let load = (Program.flatten (Asm.parse "MOV RAX, qword ptr [R14]")).Program.code.(0) in
+  let t = Amulet_emu.Taint.create mem in
+  List.iter
+    (fun k ->
+      let request = Some (Amulet_emu.Memory.base mem + (8 * k), Width.W64, `Load) in
+      Amulet_emu.Taint.step t ~inst:load ~request ~observe_values:true)
+    words;
+  t
+
+(* mutate_free's run-wise redraw against the per-word reference walk *)
+let check_mutate_free ~seed base taint =
+  let mem_bytes = Bytes.length base.Input.mem in
+  let a = Rng.create ~seed and r = Rng.create ~seed in
+  let mutant = Input.mutate_free a taint base in
+  let regs = Array.copy base.Input.regs in
+  List.iter
+    (fun reg ->
+      if not (Amulet_emu.Taint.is_relevant_reg taint reg)
+         && not (Reg.equal reg Reg.sandbox_base)
+      then regs.(Reg.index reg) <- ref_reg r ~mem_bytes)
+    Reg.all;
+  let mem = Bytes.copy base.Input.mem in
+  ref_fill_words r mem ~keep:(Amulet_emu.Taint.is_relevant_word taint);
+  checkb "mutate_free: same input" true (Input.equal mutant { Input.regs; mem });
+  checkb "mutate_free: same next draw" true
+    (Int64.equal (Rng.next64 a) (Rng.next64 r))
+
 let test_input_bulk_draws_match_reference () =
   let open Amulet_contracts in
   List.iter
     (fun pages ->
       let mem_bytes = pages * Amulet_emu.Memory.page_size in
+      let words = mem_bytes / 8 in
       let a = Rng.create ~seed:pages and r = Rng.create ~seed:pages in
       let input = Input.generate a ~pages in
       let regs = Array.init Reg.count (fun _ -> ref_reg r ~mem_bytes) in
@@ -135,8 +162,8 @@ let test_input_bulk_draws_match_reference () =
       ref_fill r mem 0 mem_bytes;
       checkb "generate: same input" true (Input.equal input { Input.regs; mem });
       checkb "generate: same next draw" true (Int64.equal (Rng.next64 a) (Rng.next64 r));
-      (* a taint with both relevant and free words: ARCH-SEQ pins loaded
-         data as well as addresses *)
+      (* a program's taint with both relevant and free words: ARCH-SEQ pins
+         loaded data as well as addresses *)
       let rec tainted seed =
         let g = Rng.create ~seed in
         let flat = Generator.generate_flat g in
@@ -146,28 +173,27 @@ let test_input_bulk_draws_match_reference () =
             (Input.to_state base)
         in
         match res.Leakage_model.fault, res.Leakage_model.taint with
-        | None, Some t
-          when List.exists
-                 (fun k -> Amulet_emu.Taint.is_relevant_word t k)
-                 (List.init (mem_bytes / 8) Fun.id) ->
-            (base, t)
+        | None, Some t when Amulet_emu.Taint.relevant_words t <> [] -> (base, t)
         | _ -> tainted (seed + 1)
       in
       let base, taint = tainted 1 in
-      let a = Rng.create ~seed:99 and r = Rng.create ~seed:99 in
-      let mutant = Input.mutate_free a taint base in
-      let regs = Array.copy base.Input.regs in
-      List.iter
-        (fun reg ->
-          if not (Amulet_emu.Taint.is_relevant_reg taint reg)
-             && not (Reg.equal reg Reg.sandbox_base)
-          then regs.(Reg.index reg) <- ref_reg r ~mem_bytes)
-        Reg.all;
-      let mem = Bytes.copy base.Input.mem in
-      ref_fill_words r mem ~keep:(Amulet_emu.Taint.is_relevant_word taint);
-      checkb "mutate_free: same input" true (Input.equal mutant { Input.regs; mem });
-      checkb "mutate_free: same next draw" true
-        (Int64.equal (Rng.next64 a) (Rng.next64 r)))
+      check_mutate_free ~seed:99 base taint;
+      (* relevant-word sets of every shape: none, either end, adjacent
+         runs, all words on one page, and random masks of varied density *)
+      let mem = (Input.to_state base).Amulet_emu.State.mem in
+      let g = Rng.create ~seed:(1000 + pages) in
+      let random_mask () =
+        let density = 1 + Rng.int g 256 in
+        List.filter (fun _ -> Rng.int g 512 < density) (List.init words Fun.id)
+      in
+      let masks =
+        [ []; [ 0 ]; [ words - 1 ]; [ 0; words - 1 ]; [ 1; 2; 3; words - 2 ] ]
+        @ (if pages = 1 then [ List.init words Fun.id ] else [])
+        @ List.init 20 (fun _ -> random_mask ())
+      in
+      List.iteri
+        (fun i ks -> check_mutate_free ~seed:i base (taint_of_words mem ks))
+        masks)
     [ 1; 128 ]
 
 (* ------------------------------------------------------------------ *)
@@ -447,12 +473,13 @@ let () =
           Alcotest.test_case "weighted" `Quick test_rng_weighted;
           Alcotest.test_case "fill bounds" `Quick test_rng_fill_bounds;
           QCheck_alcotest.to_alcotest rng_fill_bytes_prop;
-          QCheck_alcotest.to_alcotest rng_fill_words_prop;
         ] );
       ( "inputs",
         [
           Alcotest.test_case "to_state pins base" `Quick test_input_to_state_pins_base;
           Alcotest.test_case "hash sensitivity" `Quick test_input_hash_sensitivity;
+          Alcotest.test_case "load rejects a size mismatch" `Quick
+            test_input_load_size_mismatch;
           Alcotest.test_case "bulk draws match reference" `Quick
             test_input_bulk_draws_match_reference;
         ] );

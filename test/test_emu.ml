@@ -275,9 +275,9 @@ let test_emulator_step_limit () =
 (* Taint tracking                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let taint_of_asm ?(observe_values = false) src =
+let taint_of_asm ?(observe_values = false) ?(pages = 1) src =
   let flat = Program.flatten (Asm.parse src) in
-  let st = State.create ~pages:1 () in
+  let st = State.create ~pages () in
   State.write_reg st Reg.sandbox_base (Int64.of_int (Memory.base st.State.mem));
   let taint = Taint.create st.State.mem in
   let emu = Emulator.create flat st in
@@ -346,6 +346,57 @@ let test_taint_flags_propagation () =
 |} in
   checkb "flag source relevant via setcc" true (Taint.is_relevant_reg taint Reg.RDI)
 
+(* The lazy word labels on stt's 128-page sandbox: a word's own atom exists
+   only once a step reaches the word. *)
+let words_128 = 128 * Memory.page_size / 8
+
+let test_taint_untouched_word_load () =
+  let taint = taint_of_asm ~observe_values:true ~pages:128 {|
+  MOV RAX, qword ptr [R14 + 480000]
+|} in
+  Alcotest.(check (list int)) "exactly the loaded word" [ 60000 ]
+    (Taint.relevant_words taint)
+
+let test_taint_partial_store_keeps_own_atom () =
+  (* a 4-byte store covers half the word: its other half still comes from
+     the input, so the word's own atom must survive next to RSI's *)
+  let taint = taint_of_asm ~pages:128 {|
+  MOV dword ptr [R14 + 400000], RSI
+  MOV RBX, qword ptr [R14 + 400000]
+  AND RBX, 4088
+  MOV RAX, qword ptr [R14 + RBX]
+|} in
+  checkb "store source relevant" true (Taint.is_relevant_reg taint Reg.RSI);
+  checkb "partly stored word relevant" true (Taint.is_relevant_word taint 50000)
+
+let test_taint_full_store_replaces_own_atom () =
+  let taint = taint_of_asm ~pages:128 {|
+  MOV qword ptr [R14 + 400000], RSI
+  MOV RBX, qword ptr [R14 + 400000]
+  AND RBX, 4088
+  MOV RAX, qword ptr [R14 + RBX]
+|} in
+  checkb "store source relevant" true (Taint.is_relevant_reg taint Reg.RSI);
+  checkb "overwritten word free" false (Taint.is_relevant_word taint 50000)
+
+let test_taint_relevant_words_ascending () =
+  (* words reached out of order, near both ends of the sandbox *)
+  let taint = taint_of_asm ~observe_values:true ~pages:128 {|
+  MOV RAX, qword ptr [R14 + 524280]
+  MOV RAX, qword ptr [R14 + 16]
+  MOV RAX, qword ptr [R14 + 0]
+  MOV RAX, dword ptr [R14 + 262148]
+  MOV RAX, qword ptr [R14 + 4]
+|} in
+  let words = Taint.relevant_words taint in
+  Alcotest.(check (list int)) "ascending" [ 0; 1; 2; 32768; 65535 ] words;
+  let marked = Array.make words_128 false in
+  List.iter (fun k -> marked.(k) <- true) words;
+  for k = 0 to words_128 - 1 do
+    if marked.(k) <> Taint.is_relevant_word taint k then
+      Alcotest.failf "word %d: relevant_words and is_relevant_word disagree" k
+  done
+
 (* boosting soundness: mutants of free atoms keep the contract trace *)
 let taint_soundness_prop =
   QCheck2.Test.make ~name:"taint-directed mutation preserves CT-SEQ ctrace" ~count:60
@@ -406,6 +457,14 @@ let () =
           Alcotest.test_case "value observation" `Quick test_taint_data_free_under_ctseq;
           Alcotest.test_case "store propagation" `Quick test_taint_propagation_through_store;
           Alcotest.test_case "flags propagation" `Quick test_taint_flags_propagation;
+          Alcotest.test_case "128 pages: untouched word load" `Quick
+            test_taint_untouched_word_load;
+          Alcotest.test_case "128 pages: partial store keeps own atom" `Quick
+            test_taint_partial_store_keeps_own_atom;
+          Alcotest.test_case "128 pages: full store replaces own atom" `Quick
+            test_taint_full_store_replaces_own_atom;
+          Alcotest.test_case "128 pages: relevant_words ascending" `Quick
+            test_taint_relevant_words_ascending;
           QCheck_alcotest.to_alcotest taint_soundness_prop;
         ] );
     ]
