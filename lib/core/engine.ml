@@ -1,6 +1,6 @@
 (** The execution engine (see engine.mli).  [Pooled] is byte-identical to
-    [Naive] because the post-boot checkpoint captures exactly what a fresh
-    boot produces. *)
+    [Naive] because the shared post-boot checkpoint captures exactly what a
+    fresh boot produces. *)
 
 open Amulet_uarch
 open Amulet_defenses
@@ -126,36 +126,46 @@ let retire_sim t =
       t.sim <- None
   | None -> ()
 
-(* Build and warm-boot a fresh simulator, replacing the current one. *)
+(* Build a simulator, replacing the current one: [Naive] boots it;
+   [Pooled] restores the configuration's shared post-boot checkpoint into
+   an unbooted one and keeps that checkpoint for later rewinds. *)
 let rebuild t =
   retire_sim t;
   t.sims_created <- t.sims_created + 1;
   Obs.incr t.m_rebuilds;
   let sim =
     Obs.time t.m_rebuild_time (fun () ->
-        Simulator.create ~metrics:(Stats.registry t.stats)
-          ~boot_insts:t.boot_insts ~pages:t.defense.Defense.sandbox_pages
-          t.sim_config)
+        let pages = t.defense.Defense.sandbox_pages in
+        let create boot_insts =
+          Simulator.create ~metrics:(Stats.registry t.stats) ~boot_insts ~pages
+            t.sim_config
+        in
+        match t.kind with
+        | Naive -> create t.boot_insts
+        | Pooled ->
+            let snap =
+              Simulator.boot_checkpoint ~boot_insts:t.boot_insts ~pages t.sim_config
+            in
+            let sim = create 0 in
+            Simulator.restore sim snap;
+            t.boot_snapshot <- Some snap;
+            sim)
   in
   t.sim <- Some sim;
   sim
 
 (* Pristine post-boot state: [Naive] rebuilds; [Pooled] rewinds the pool
-   simulator to its post-boot checkpoint (building both on first use),
-   which is equivalent without re-running the boot workload. *)
+   simulator to the post-boot checkpoint (building it on first use), which
+   is equivalent without re-running the boot workload. *)
 let pristine t =
   match t.kind, t.sim, t.boot_snapshot with
-  | Naive, _, _ -> rebuild t
   | Pooled, Some sim, Some snap ->
       Obs.time t.m_restore_time (fun () -> Simulator.restore sim snap);
       t.restores <- t.restores + 1;
       Obs.incr t.m_restores;
       Obs.set_gauge t.m_reuse_depth (float_of_int t.restores);
       sim
-  | Pooled, _, _ ->
-      let sim = rebuild t in
-      t.boot_snapshot <- Some (Simulator.snapshot sim);
-      sim
+  | _ -> rebuild t
 
 (** Begin a new test program.  This is where [Opt] mode pays for pristine
     state; [Naive] mode re-pristines per input instead. *)

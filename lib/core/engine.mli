@@ -7,9 +7,13 @@
     place and priming the L1D per the defense's harness style.
 
     {b Kind} fixes how pristine state is reached and is trace-invisible:
-    [Naive] rebuilds the simulator (full warm-boot cost); [Pooled] boots
-    once, checkpoints the post-boot state and rewinds it with
-    {!Amulet_uarch.Simulator.restore}. *)
+    [Naive] rebuilds the simulator and pays the full warm boot every time
+    (Table 2's model of restarting gem5 per test case); [Pooled] builds one
+    unbooted simulator, restores the configuration's post-boot checkpoint
+    ({!Amulet_uarch.Simulator.boot_checkpoint}) into it and rewinds to that
+    checkpoint with {!Amulet_uarch.Simulator.restore} from then on.  The
+    checkpoint is shared across the process, so pooled engines boot once
+    per configuration per process, not once per engine. *)
 
 open Amulet_isa
 open Amulet_uarch
@@ -46,7 +50,9 @@ type batch = {
 }
 
 type stats = {
-  sims_created : int;  (** full simulator builds (warm boots) paid *)
+  sims_created : int;
+      (** simulators built: each [Naive] one boots; a [Pooled] engine builds
+          one and restores the shared post-boot checkpoint into it *)
   snapshot_restores : int;  (** checkpoint rewinds performed instead *)
   batches : int;
   inputs_run : int;  (** inputs executed through {!run_batch} *)
@@ -83,8 +89,10 @@ val start_program : t -> unit
     rebuild or a checkpoint rewind, per the kind). *)
 
 val warm : t -> unit
-(** Pre-build the pooled simulator and its post-boot checkpoint so the
-    first test case doesn't pay the boot cost ([Naive]: no-op). *)
+(** Pre-build the pooled simulator from its post-boot checkpoint (booting
+    the checkpoint if this is the process's first request for the
+    configuration) so the first test case doesn't pay for it ([Naive]:
+    no-op). *)
 
 val run :
   t -> ?context:Simulator.context -> ?log:bool -> Program.flat -> Input.t ->
@@ -120,7 +128,11 @@ val analysis :
   Defense.t ->
   t
 (** The engine analyses replay on: [Opt], [Pooled], a private {!Stats.t}
-    over [metrics] (default detached), already started. *)
+    over [metrics] (default detached), already started.  Being pooled, it
+    restores the shared post-boot checkpoint: building one per violation
+    (explain, bisection flips, shrink steps, signing, rehydrate, journal
+    resume) costs a restore, and the process boots once per (config,
+    sandbox pages, [boot_insts]) it meets. *)
 
 val run_batch : t -> ?check:(unit -> unit) -> Program.flat -> Input.t array -> batch
 (** {!start_program}, then execute all inputs of the program against the

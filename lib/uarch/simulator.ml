@@ -20,9 +20,6 @@ type t = {
   bp : Branch_pred.t;
   mdp : Mdp.t;
   mutable arch : State.t;
-  mutable total_cycles : int;
-  mutable total_insts : int;
-  mutable runs : int;
   mutable pipe : Pipeline.t option;
       (** the reusable pipeline: built on first run, rewound with
           {!Pipeline.reset} for every run after *)
@@ -110,14 +107,6 @@ let prime_program (cfg : Config.t) =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let finish_run t ~cycles ~committed_insts =
-  t.total_cycles <- t.total_cycles + cycles;
-  t.total_insts <- t.total_insts + committed_insts;
-  t.runs <- t.runs + 1;
-  (* drain per-run transient state; persistent state (caches, predictors)
-     survives for the next run *)
-  Memsys.reset_transient t.ms |> ignore
-
 (* The hot path: rewind the persistent pipeline over a pre-decoded program. *)
 let run_decoded t (dec : Decoded.t) : run_stats =
   let p =
@@ -131,7 +120,9 @@ let run_decoded t (dec : Decoded.t) : run_stats =
   Pipeline.reset p ~arch:t.arch dec;
   let r = Pipeline.run p in
   t.orders_live <- true;
-  finish_run t ~cycles:r.Pipeline.cycles ~committed_insts:r.Pipeline.committed_insts;
+  (* drain per-run transient state; persistent state (caches, predictors)
+     survives for the next run *)
+  Memsys.reset_transient t.ms;
   {
     cycles = r.Pipeline.cycles;
     committed_insts = r.Pipeline.committed_insts;
@@ -159,9 +150,12 @@ let decode_for t flat =
 
 let run_flat t flat : run_stats = run_decoded t (decode_for t flat)
 
+(* Boot workloads run in this process, across all domains. *)
+let boot_count = Atomic.make 0
+
 (** Create a simulator.  [boot_insts > 0] runs the synthetic warm-boot
-    workload, making creation cost realistic (AMuLeT-Naive pays it per
-    input; AMuLeT-Opt once per test program). *)
+    workload, making creation cost realistic (the [Naive] engine pays it
+    per rebuild; pooled engines restore {!boot_checkpoint} instead). *)
 let create ?(metrics = Amulet_obs.Obs.noop) ?(boot_insts = default_boot_insts)
     ?(pages = 1) (cfg : Config.t) =
   let arch = State.create ~pages () in
@@ -185,9 +179,6 @@ let create ?(metrics = Amulet_obs.Obs.noop) ?(boot_insts = default_boot_insts)
           ~table_bits:cfg.bp_table_bits ~btb_bits:cfg.btb_bits ();
       mdp = Mdp.create ~bits:cfg.mdp_bits;
       arch;
-      total_cycles = 0;
-      total_insts = 0;
-      runs = 0;
       pipe = None;
       dec_cache = None;
       prime_lines = prime_addrs cfg;
@@ -208,13 +199,22 @@ let create ?(metrics = Amulet_obs.Obs.noop) ?(boot_insts = default_boot_insts)
       (fun () ->
         let boot = boot_program ~insts:boot_insts in
         ignore (run_flat t boot);
+        Atomic.incr boot_count;
         (* boot effects must not leak into the first test case *)
         Memsys.flush_caches t.ms;
         Branch_pred.reset t.bp;
         Mdp.reset t.mdp;
-        t.arch <- State.create ~pages ())
+        t.arch <- State.create ~pages ();
+        (* the pipeline arena sized for the boot program and its decoded
+           code are most of a booted simulator's memory; the first test
+           program builds a pipeline of its own size *)
+        t.pipe <- None;
+        t.dec_cache <- None;
+        t.orders_live <- false)
   end;
   t
+
+let boots () = Atomic.get boot_count
 
 let config t = t.cfg
 let log t = t.log
@@ -377,6 +377,36 @@ let restore t (s : snapshot) =
   Memsys.clear_access_order t.ms;
   t.orders_live <- false
 
+(* One post-boot checkpoint per (config, pages, boot length) per process,
+   compared structurally.  Each entry has its own lock, held while the
+   first request boots, so a second domain asking for the same key waits
+   for that boot instead of running its own, while other keys boot in
+   parallel.  Sharing is safe because every restore only reads the
+   snapshot. *)
+type boot_entry = { lock : Mutex.t; mutable snap : snapshot option }
+
+let boot_table : (Config.t * int * int, boot_entry) Hashtbl.t = Hashtbl.create 16
+let boot_table_lock = Mutex.create ()
+
+let boot_checkpoint ?(boot_insts = default_boot_insts) ?(pages = 1) cfg =
+  let key = (cfg, pages, boot_insts) in
+  let entry =
+    Mutex.protect boot_table_lock (fun () ->
+        match Hashtbl.find_opt boot_table key with
+        | Some e -> e
+        | None ->
+            let e = { lock = Mutex.create (); snap = None } in
+            Hashtbl.add boot_table key e;
+            e)
+  in
+  Mutex.protect entry.lock (fun () ->
+      match entry.snap with
+      | Some s -> s
+      | None ->
+          let s = snapshot (create ~boot_insts ~pages cfg) in
+          entry.snap <- Some s;
+          s)
+
 let reset_predictors t =
   Branch_pred.reset t.bp;
   Mdp.reset t.mdp
@@ -385,8 +415,4 @@ let flush_caches t = Memsys.flush_caches t.ms
 let reset_tlb t = Memsys.reset_tlb t.ms
 let reset_l1i t = Memsys.reset_l1i t.ms
 
-(* cumulative counters (for throughput accounting) *)
-let total_cycles t = t.total_cycles
-let total_insts t = t.total_insts
-let runs t = t.runs
 let decodes t = t.decodes

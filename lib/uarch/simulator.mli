@@ -6,8 +6,10 @@
     (structure allocation plus a synthetic warm-boot workload), standing in
     for gem5's multi-second process startup; executors amortize it by
     reusing one simulator across inputs (paper §3.2, C3) or — the pooled
-    engine — by checkpointing the post-boot state once with {!snapshot} and
-    rewinding with {!restore} instead of re-running the boot workload. *)
+    engine — by restoring a post-boot checkpoint with {!restore} instead of
+    re-running the boot workload.  Each configuration boots at most once
+    per process: {!boot_checkpoint} keeps one shared checkpoint per
+    configuration. *)
 
 open Amulet_isa
 open Amulet_emu
@@ -32,13 +34,21 @@ val default_boot_insts : int
 val create :
   ?metrics:Amulet_obs.Obs.t -> ?boot_insts:int -> ?pages:int -> Config.t -> t
 (** Create a simulator.  Raises [Invalid_argument] when a [pages]-page
-    sandbox would reach {!prime_base} (more than 255 pages).  [boot_insts > 0] runs the synthetic warm-boot
-    workload, making creation cost realistic (AMuLeT-Naive pays it per
-    input; AMuLeT-Opt once per test program; the pooled engine once per
-    executor lifetime).  [metrics] (default noop) receives the [uarch.*]
-    hardware counters; the boot workload is excluded from them so that
-    engines booting different numbers of simulators still accumulate
-    identical counts.  Counting is trace-invisible. *)
+    sandbox would reach {!prime_base} (more than 255 pages).
+    [boot_insts > 0] runs the synthetic warm-boot workload, making creation
+    cost realistic: the [Naive] engine pays it per rebuild, while pooled
+    engines create with [~boot_insts:0] and {!restore} the configuration's
+    {!boot_checkpoint}, so a process boots each configuration at most once.
+    The boot program's pipeline and decoded code are dropped afterwards: a
+    booted simulator holds no more than an unbooted one.  [metrics]
+    (default noop) receives the [uarch.*] hardware counters; the boot
+    workload is excluded from them so that engines booting different
+    numbers of simulators still accumulate identical counts.  Counting is
+    trace-invisible. *)
+
+val boots : unit -> int
+(** Boot workloads run in this process so far, across all domains: a
+    deterministic count kept outside any {!Amulet_obs} registry. *)
 
 val config : t -> Config.t
 val log : t -> Event.log
@@ -96,15 +106,27 @@ type context
 val snapshot_context : t -> context
 val restore_context : t -> context -> unit
 
-(** {2 Full checkpoints (the pooled engine's boot-state reuse)} *)
+(** {2 Full checkpoints (boot once per configuration per process)} *)
 
 type snapshot
 (** A full post-boot checkpoint: microarchitectural context plus the
     committed architectural state.  Restoring is equivalent to a fresh
-    [create] with the same configuration, minus the boot workload. *)
+    [create] with the same configuration, minus the boot workload.  A
+    snapshot is immutable: {!restore} copies out of it and never writes to
+    it, so one snapshot is shared by every simulator, in any domain, that
+    restores it. *)
 
 val snapshot : t -> snapshot
 val restore : t -> snapshot -> unit
+
+val boot_checkpoint : ?boot_insts:int -> ?pages:int -> Config.t -> snapshot
+(** The post-boot checkpoint of [create ~boot_insts ~pages cfg] (defaults
+    as {!create}'s).  The first request for a (config, pages, boot length)
+    key, compared structurally, boots a scratch simulator on a noop
+    registry and snapshots it; every later request in the process returns
+    that same snapshot.  Safe to call from several domains: concurrent
+    requests for one key share one boot.  Entries are never evicted (one
+    per distinct configuration, each a few KB plus the sandbox image). *)
 
 (** {2 Reset hooks} *)
 
@@ -112,13 +134,6 @@ val reset_predictors : t -> unit
 val flush_caches : t -> unit
 val reset_tlb : t -> unit
 val reset_l1i : t -> unit
-
-(** {2 Cumulative counters (throughput accounting; monotonic across
-    restores)} *)
-
-val total_cycles : t -> int
-val total_insts : t -> int
-val runs : t -> int
 
 val decodes : t -> int
 (** Programs decoded into the shared {!Amulet_isa.Decoded} cache over this

@@ -160,6 +160,88 @@ let test_snapshot_determinism () =
   checkb "restore matches fresh boot" true (observe fresh = first)
 
 (* ------------------------------------------------------------------ *)
+(* The shared post-boot checkpoint table                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A simulator restored from the shared table behaves exactly as one that
+   booted itself: on every preset and every config bisection flips it to,
+   at a short and at the default boot length, the same programs and inputs
+   run back to back on one simulator (Opt-style reuse, the preset's own
+   priming before each input) give the same run stats and the same caches,
+   predictors, TLB and L1I after every input. *)
+let test_checkpoint_equivalence () =
+  let open Amulet_uarch in
+  let configs =
+    List.concat_map
+      (fun (d : Defense.t) ->
+        let base = Defense.config d in
+        List.map
+          (fun c -> (d, c))
+          (base :: List.map (fun (_, _, _, c) -> c) (Triage.flip_candidates base)))
+      Defense.all
+  in
+  let drive (d : Defense.t) sim =
+    List.concat_map
+      (fun seed ->
+        let flat, inputs = gen_case ~defense:d seed in
+        List.map
+          (fun input ->
+            (match d.Defense.priming with
+            | Defense.Fill_sets -> ignore (Simulator.prime_with_fills sim)
+            | Defense.Flush -> Simulator.prime_with_flush sim);
+            Simulator.load_state sim (Input.to_state input);
+            let stats = Simulator.run sim flat in
+            ( stats,
+              Simulator.cache_digest sim,
+              Array.copy (Simulator.bp_state sim),
+              Simulator.tlb_pages sim,
+              Simulator.l1i_tags sim ))
+          (Array.to_list inputs))
+      [ 11; 12 ]
+  in
+  List.iter
+    (fun boot_insts ->
+      List.iter
+        (fun ((d : Defense.t), cfg) ->
+          let pages = d.Defense.sandbox_pages in
+          let booted = Simulator.create ~boot_insts ~pages cfg in
+          let restored = Simulator.create ~boot_insts:0 ~pages cfg in
+          Simulator.restore restored (Simulator.boot_checkpoint ~boot_insts ~pages cfg);
+          checkb
+            (Printf.sprintf "%s %s boot %d" d.Defense.name
+               (Config.defense_name cfg.Config.defense) boot_insts)
+            true
+            (drive d booted = drive d restored))
+        configs)
+    [ boot; Simulator.default_boot_insts ]
+
+(* Two domains that ask for one configuration at the same moment share one
+   boot and replay to identical traces.  The boot length is used by no
+   other test, so the process-wide boot count moves only here. *)
+let test_checkpoint_domains () =
+  let open Amulet_uarch in
+  let defense = Defense.speclfb in
+  let flat, inputs = gen_case ~defense 5 in
+  let ready = Atomic.make 0 in
+  let replay () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    let r =
+      Engine.replay (Engine.analysis ~boot_insts:777 defense) Engine.Fresh flat
+        inputs.(0) inputs.(1)
+    in
+    (r.Engine.a.Engine.trace, r.Engine.b.Engine.trace)
+  in
+  let before = Simulator.boots () in
+  let d1 = Domain.spawn replay and d2 = Domain.spawn replay in
+  let t1 = Domain.join d1 and t2 = Domain.join d2 in
+  checki "one boot for both domains" 1 (Simulator.boots () - before);
+  checkb "identical traces" true
+    (Utrace.equal (fst t1) (fst t2) && Utrace.equal (snd t1) (snd t2))
+
+(* ------------------------------------------------------------------ *)
 (* Chaos injection through the batched path                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -236,10 +318,13 @@ let test_engine_stats () =
       (Stats.create ())
   in
   checks "naive name" "naive" (Engine.kind_name (Engine.kind naive));
+  let boots = Amulet_uarch.Simulator.boots () in
   ignore (Engine.run_batch naive flat inputs);
   ignore (Engine.run_batch naive flat inputs);
   let s = Engine.stats naive in
   checki "naive sims_created" 6 s.Engine.sims_created;
+  checki "naive boots every rebuild itself" 6
+    (Amulet_uarch.Simulator.boots () - boots);
   checki "naive restores" 0 s.Engine.snapshot_restores;
   (* warm pre-pays the pooled boot *)
   let warmed =
@@ -358,7 +443,13 @@ let () =
           Alcotest.test_case "fuzzer round parity" `Quick test_fuzzer_round_parity;
         ] );
       ( "snapshot",
-        [ Alcotest.test_case "restore determinism" `Quick test_snapshot_determinism ] );
+        [
+          Alcotest.test_case "restore determinism" `Quick test_snapshot_determinism;
+          Alcotest.test_case "checkpoint table = own boot" `Quick
+            test_checkpoint_equivalence;
+          Alcotest.test_case "checkpoint table across domains" `Quick
+            test_checkpoint_domains;
+        ] );
       ( "chaos",
         [
           Alcotest.test_case "sim fault via batch" `Quick test_chaos_sim_fault;

@@ -549,6 +549,20 @@ let test_inflight_counter () =
   ignore (drain ms ~from:1 ~until:100);
   checki "drained" 0 (Memsys.inflight ms)
 
+(* A booted simulator drops the boot program's pipeline arena and decoded
+   code: what stays reachable is the structures a test run needs (about
+   80 k words on one page), not the ~3 M words the boot pipeline took. *)
+let test_booted_simulator_bound () =
+  List.iter
+    (fun (d : Amulet_defenses.Defense.t) ->
+      let sim = Simulator.create (Amulet_defenses.Defense.config d) in
+      let words = Obj.reachable_words (Obj.repr sim) in
+      checkb
+        (Printf.sprintf "%s booted: %d words reachable" d.Amulet_defenses.Defense.name
+           words)
+        true (words < 100_000))
+    Amulet_defenses.Defense.[ speclfb; cleanupspec; invisispec ]
+
 let () =
   Alcotest.run "uarch-extra"
     [
@@ -558,6 +572,8 @@ let () =
           Alcotest.test_case "pp total" `Quick test_event_pp_total;
         ] );
       ("config", [ Alcotest.test_case "amplified" `Quick test_config_amplified ]);
+      ( "simulator",
+        [ Alcotest.test_case "booted memory bound" `Quick test_booted_simulator_bound ] );
       ( "cancellation",
         [
           Alcotest.test_case "queued dropped" `Quick
